@@ -82,12 +82,12 @@ def snb_stream(
             next_message += 1
             messages.append(mid)
             edges.append(SGE(message(mid), creator, "hasCreator", t))
-            earlier = messages[:-1]
-            if earlier and rng.random() < reply_fraction and len(edges) < n_edges:
+            n_earlier = len(messages) - 1  # every message before ``mid``
+            if n_earlier and rng.random() < reply_fraction and len(edges) < n_edges:
                 # Reply to a recent *earlier* message: strictly backwards,
                 # so replyOf stays a forest.
-                offset = rng.randrange(min(len(earlier), 50))
-                parent = earlier[len(earlier) - 1 - offset]
+                offset = rng.randrange(min(n_earlier, 50))
+                parent = messages[n_earlier - 1 - offset]
                 edges.append(SGE(message(mid), message(parent), "replyOf", t))
         else:
             # Like an existing message.

@@ -65,6 +65,7 @@ from repro.checkpoint.rebalance import rebalance_states
 from repro.checkpoint.topology import load_operator_states, operator_keys
 from repro.core.batch import BatchScheduler, RunStats
 from repro.core.coalesce import coalesce_stream
+from repro.core.gcpause import gc_paused
 from repro.core.interning import Interner, intern_plan
 from repro.core.nplib import HAVE_NUMPY
 from repro.core.intervals import Interval
@@ -1240,7 +1241,7 @@ class StreamingGraphEngine:
     # ------------------------------------------------------------------
     def push(self, edge: SGE) -> None:
         """Insert one streaming graph edge (advances the window first)."""
-        with self._lifecycle_lock:
+        with self._lifecycle_lock, gc_paused():
             if self._sharded is not None:
                 self._sharded.push(edge)
             elif self._config.backend == "sga":
@@ -1260,7 +1261,7 @@ class StreamingGraphEngine:
             raise ExecutionError(
                 "explicit deletions are not supported by the dd backend"
             )
-        with self._lifecycle_lock:
+        with self._lifecycle_lock, gc_paused():
             if self._sharded is not None:
                 self._sharded.delete(edge)
             else:
@@ -1269,7 +1270,7 @@ class StreamingGraphEngine:
 
     def advance_to(self, t: int) -> None:
         """Advance the window/epochs without inserting (stream silence)."""
-        with self._lifecycle_lock:
+        with self._lifecycle_lock, gc_paused():
             if self._sharded is not None:
                 self._sharded.advance_to(t)
             elif self._config.backend == "sga":
@@ -1291,8 +1292,12 @@ class StreamingGraphEngine:
         threads serialize against it — each observes the stream either
         entirely before or entirely after its own splice point, exactly
         as if the calls had been issued between ``push_many`` batches.
+
+        Like every streaming call, it runs with CPython's cyclic garbage
+        collector paused (:func:`~repro.core.gcpause.gc_paused`): the
+        engine frees its state by reference counting alone.
         """
-        with self._lifecycle_lock:
+        with self._lifecycle_lock, gc_paused():
             if self._sharded is not None:
                 stats = self._sharded.push_many(stream)
             elif self._config.backend == "sga":

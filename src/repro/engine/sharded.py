@@ -1341,6 +1341,7 @@ def _worker_main(
     this is, so injected crashes can be gated to generation 0 and the
     respawned worker survives.
     """
+    import gc
     import os
     import signal as _signal
     import time
@@ -1374,7 +1375,11 @@ def _worker_main(
                 shard.graph.push_watermark(boundary)
 
         while True:
+            # Commands run with the cyclic collector paused, as engine
+            # calls do in the parent; it gets to run only while idle.
+            gc.enable()
             message = conn.recv()
+            gc.disable()
             command = message[0]
             current_command = command
             if fault_plan is not None:

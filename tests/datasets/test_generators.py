@@ -1,5 +1,6 @@
 """Unit tests for the synthetic dataset generators."""
 
+import hashlib
 from collections import Counter
 
 from repro.datasets import (
@@ -121,6 +122,16 @@ class TestSNB:
         created = {e.src for e in edges if e.label == "hasCreator"}
         replied = {e.src for e in edges if e.label == "replyOf"}
         assert replied <= created
+
+    def test_stream_is_pinned(self):
+        """The exact edge sequence is part of the benchmark's contract:
+        a generator rewrite must keep every ``rng`` draw in place."""
+        digest = hashlib.sha256()
+        for e in snb_stream(5000, n_persons=300, seed=7):
+            digest.update(repr((e.src, e.trg, e.label, e.t)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "e4622f91910b90430f8453024814271ddb724f1d23b4922092b564fcbef605d7"
+        )
 
     def test_person_message_helpers(self):
         assert person(3) == ("P", 3)
