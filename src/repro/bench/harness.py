@@ -51,7 +51,6 @@ def run_sga_bench(
     path_impl: str = "negative",
     batch_size: int | None = None,
     execution: str = "auto",
-    state_layout: str = "auto",
 ) -> BenchResult:
     """Run the SGA backend over a stream and collect metrics.
 
@@ -64,12 +63,6 @@ def run_sga_bench(
     way the engine does (vector when numpy is importable).  Recorded
     comparisons should pin it explicitly so baseline and candidate
     entries name what they measured.
-
-    ``state_layout`` is a benchmarking override: the engine pairs vector
-    execution with the struct-of-arrays operator state, and
-    ``state_layout="objects"`` switches the (still empty) operators back
-    to the object layout after registration — how before/after pairs
-    isolate the state-layout contribution on one machine.
     """
     # Paths are not materialized: the DD baseline cannot return paths,
     # so the comparison is over result-pair production (as in the paper).
@@ -83,10 +76,6 @@ def run_sga_bench(
         )
     )
     handle = engine.register(plan, name="bench")
-    if state_layout != "auto":
-        from repro.physical.state_arrays import apply_state_layout
-
-        apply_state_layout(engine._graph.operators, state_layout)
     stats = engine.push_many(stream)
     # The system string deliberately omits the execution mode: trajectory
     # entries are compared cell-by-cell across labels (pr4-columnar vs

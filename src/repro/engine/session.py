@@ -93,7 +93,6 @@ from repro.physical.planner import (
     evict_dead,
     plan_slide,
 )
-from repro.physical.state_arrays import apply_state_layout
 from repro.ql.query import Query
 from repro.query.datalog import ANSWER
 from repro.query.sgq import SGQ
@@ -1151,14 +1150,6 @@ class StreamingGraphEngine:
         compiled = intern_plan(plan, interner) if interner is not None else plan
         sink = compile_into(compiled, self._graph, cache, *options)
         sink.interner = interner
-        if self._config.execution == "vector":
-            # Vector execution runs hot operator state in the
-            # struct-of-arrays layout (int64 join tables, flat-pair
-            # adjacency, slotted spanning trees).  Applied post-compile
-            # over the whole dataflow: freshly compiled operators are
-            # empty, shared cached operators are already configured and
-            # the call is a no-op for them.
-            apply_state_layout(self._graph.operators, "arrays")
         if on_result is not None:
             if interner is not None:
                 on_result = _decoding_callback(on_result, interner)

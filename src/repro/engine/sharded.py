@@ -94,7 +94,6 @@ from repro.physical.planner import (
     plan_slide,
 )
 from repro.physical.rpq_negative import NegativeTupleRpqOp
-from repro.physical.state_arrays import apply_state_layout
 
 __all__ = ["ShardedSgaRuntime", "MergedTapSink"]
 
@@ -138,9 +137,7 @@ def _crash_error(payload) -> WorkerCrashError:
 class _Shard:
     """One shard's compiled state (lives in-process or inside a worker)."""
 
-    def __init__(
-        self, shard_id: int, num_shards: int, state_layout: str = "objects"
-    ):
+    def __init__(self, shard_id: int, num_shards: int):
         self.ctx = ShardContext(shard_id, num_shards)
         self.graph = DataflowGraph()
         #: per compile-options shared-subexpression cache (mirrors the
@@ -151,9 +148,6 @@ class _Shard:
         #: query name → the sink's direct producer (donor matching)
         self.roots: dict[str, object] = {}
         self.next_uid = 0
-        #: operator state layout applied post-compile ("arrays" under
-        #: vector execution); deterministic across shards and workers
-        self.state_layout = state_layout
 
     def compile_query(self, name: str, plan: Plan, options: tuple) -> SinkOp:
         spec = ShardSpec(self.ctx, self.next_uid)
@@ -162,8 +156,6 @@ class _Shard:
         self.next_uid = spec.next_uid
         self.sinks[name] = sink
         self.roots[name] = self.graph.producer_of(sink)
-        if self.state_layout != "objects":
-            apply_state_layout(self.graph.operators, self.state_layout)
         return sink
 
     def drop_query(self, name: str) -> None:
@@ -211,11 +203,6 @@ class ShardedSgaRuntime:
         self.num_shards = config.shards
         self.interner = interner
         self.transport = config.shard_transport
-        #: hot operator state layout, derived from the resolved
-        #: execution: vector shards run on the struct-of-arrays kernels
-        self.state_layout = (
-            "arrays" if config.execution == "vector" else "objects"
-        )
         self._queries: dict[str, tuple[Plan, tuple]] = {}
         self._boundary: int | None = None
         self._slide: int | None = None
@@ -268,7 +255,7 @@ class ShardedSgaRuntime:
         self._replay_log: list[tuple] = []
         if self.transport == "inline":
             self._shards = [
-                _Shard(i, self.num_shards, self.state_layout)
+                _Shard(i, self.num_shards)
                 for i in range(self.num_shards)
             ]
             shards = self._shards
@@ -699,7 +686,6 @@ class ShardedSgaRuntime:
                     self._slide,
                     self.fault_plan,
                     self._generation,
-                    self.state_layout,
                 ),
                 daemon=True,
             )
@@ -1326,7 +1312,6 @@ def _worker_main(
     slide,
     fault_plan=None,
     generation=0,
-    state_layout="objects",
 ):
     """One shard worker: compile, then serve the parent's command loop.
 
@@ -1349,7 +1334,7 @@ def _worker_main(
 
     current_command: "str | None" = None
     try:
-        shard = _Shard(shard_id, num_shards, state_layout)
+        shard = _Shard(shard_id, num_shards)
         outbox: list[OutboxMessage] = []
         shard.ctx.set_transport(
             lambda dest, uid, payload: outbox.append((dest, uid, payload))

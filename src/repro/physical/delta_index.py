@@ -502,23 +502,6 @@ class ColumnarPathIngest:
                 else:
                     self._delete(src[i], dst[i], label, Interval(ts[i], exp[i]))
 
-    def _consume_columns_arr(self, cols, signs, label: Label) -> None:
-        """Arrays-layout variant of :meth:`_consume_columns`: validity
-        travels as two scalars straight into the array adjacency — no
-        Interval is allocated per ingested edge.  Installed as the
-        instance's ``_consume_columns`` by ``configure_state_layout``."""
-        src, dst, ts, exp = cols.row_lists()
-        if signs is None:
-            insert = self._insert_arr
-            for i in range(len(src)):
-                insert(src[i], dst[i], label, ts[i], exp[i])
-        else:
-            for i in range(len(src)):
-                if signs[i] == INSERT:
-                    self._insert_arr(src[i], dst[i], label, ts[i], exp[i])
-                else:
-                    self._delete_arr(src[i], dst[i], label, ts[i], exp[i])
-
     def _schedule_expiry(self, root, key: NodeKey, exp: int) -> None:
         wheel = self._node_expiry
         bucket = wheel.fine.get(exp)
@@ -526,6 +509,26 @@ class ColumnarPathIngest:
             bucket.append((root, key))
         else:
             wheel.schedule(exp, (root, key))
+
+
+def new_maintenance_counters() -> dict:
+    """Window-maintenance counters kept by both PATH operators.
+
+    Pure counts (never timings) so tests can gate on them
+    deterministically: the negative-tuple operator runs at most one
+    grouped repair per affected tree per window boundary
+    (``rederive_passes <= rederive_trees``), with ``expired_nodes``
+    recording how many per-node repairs the grouping replaced.  S-PATH's
+    direct approach runs no boundary repairs, so its ``rederive_*``
+    counters stay zero by construction.
+    """
+    return {
+        "boundaries": 0,  # advances that found at least one expired node
+        "drained_entries": 0,  # wheel entries drained (incl. stale)
+        "expired_nodes": 0,  # distinct nodes confirmed expired
+        "rederive_trees": 0,  # trees with >= 1 expired node
+        "rederive_passes": 0,  # repair traversals actually run
+    }
 
 
 def reverse_transitions(dfa: DFA) -> dict[tuple[Label, int], list[int]]:

@@ -22,51 +22,13 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.core.expiry import TimingWheel
-from repro.core.inthash import PACK_LIMIT, pack2, pack3
 from repro.core.intervals import Interval
 from repro.core.tuples import SGT, Label, Vertex
 from repro.dataflow.graph import INSERT, Event, PhysicalOperator
 from repro.errors import CheckpointError, ExecutionError, PlanError
-from repro.physical.state_arrays import STATE_LAYOUTS
 
 Schema = tuple[str, ...]
 Values = tuple[Vertex, ...]
-
-
-def _pack_key(key: Values) -> int:
-    """Pack a join key of up to three interned vertex ids into one int64
-    for the open-addressing index; ``-1`` when unpackable (non-int
-    components, ids beyond the 21-bit pack bound, or arity > 3 — such
-    keys fall back to the overflow dict)."""
-    n = len(key)
-    if n == 1:
-        v = key[0]
-        if type(v) is int and v >= 0:
-            return v
-        return -1
-    if n == 2:
-        a, b = key
-        if (
-            type(a) is int
-            and type(b) is int
-            and 0 <= a < PACK_LIMIT
-            and 0 <= b < PACK_LIMIT
-        ):
-            return pack2(a, b)
-        return -1
-    if n == 3:
-        a, b, c = key
-        if (
-            type(a) is int
-            and type(b) is int
-            and type(c) is int
-            and 0 <= a < PACK_LIMIT
-            and 0 <= b < PACK_LIMIT
-            and 0 <= c < PACK_LIMIT
-        ):
-            return pack3(a, b, c)
-        return -1
-    return -1
 
 
 class Binding:
@@ -255,252 +217,6 @@ class _HashTable:
         self._expiry.restore(state["wheel"], decode=decode)
 
 
-class _ArrayHashTable:
-    """Array-layout join side: int64 open-addressing index over slotted
-    key groups, validity as flat scalar pairs.
-
-    The ``state_layout="arrays"`` counterpart of :class:`_HashTable`:
-    join keys are packed into one int64 (:func:`pack2` / :func:`pack3`
-    from :mod:`repro.core.inthash`) and resolved to a slot through a
-    plain ``dict[int, int]`` — measured on the scalar hot path, one
-    CPython C dict lookup on an int key beats any interpreted
-    open-addressing probe loop (the
-    :class:`~repro.core.inthash.Int64Table` keeps that role for
-    numpy-resolved whole-array probes; single-key traffic stays on the
-    dict).  The slot's group maps binding values to a flat
-    ``[ts0, exp0, ts1, exp1, ...]`` list — no per-binding
-    :class:`~repro.core.intervals.Interval` and no defaultdict-of-dict
-    churn on the probe path.  Unpackable keys (rare: un-interned
-    vertices or > 3 shared variables) live in an overflow dict with
-    identical semantics.  Expiry consumes the wheel's bulk
-    :meth:`~repro.core.expiry.TimingWheel.drain_epochs`.
-
-    Snapshot blobs have the same shape as :class:`_HashTable`'s, so
-    checkpoints restore across layouts.  Blob key order is slot order
-    (not insertion order) — behaviorally invisible, because every probe
-    is single-key and only within-group iteration order reaches the
-    output.
-    """
-
-    __slots__ = (
-        "_index",
-        "_overflow",
-        "_keys",
-        "_groups",
-        "_free",
-        "_count",
-        "_expiry",
-    )
-
-    def __init__(self) -> None:
-        self._index: dict[int, int] = {}
-        self._overflow: dict[Values, int] = {}
-        self._keys: list[Values | None] = []
-        self._groups: list[dict[Values, list[int]] | None] = []
-        self._free: list[int] = []
-        self._count = 0
-        self._expiry = TimingWheel()
-
-    def _slot_of(self, key: Values) -> int:
-        pk = _pack_key(key)
-        if pk >= 0:
-            return self._index.get(pk, -1)
-        return self._overflow.get(key, -1)
-
-    def insert(self, key: Values, values: Values, ts: int, exp: int) -> None:
-        pk = _pack_key(key)
-        slot = (
-            self._index.get(pk, -1) if pk >= 0 else self._overflow.get(key, -1)
-        )
-        if slot < 0:
-            free = self._free
-            if free:
-                slot = free.pop()
-                self._keys[slot] = key
-                self._groups[slot] = {}
-            else:
-                slot = len(self._keys)
-                self._keys.append(key)
-                self._groups.append({})
-            if pk >= 0:
-                self._index[pk] = slot
-            else:
-                self._overflow[key] = slot
-        group = self._groups[slot]
-        rows = group.get(values)
-        if rows is None:
-            group[values] = rows = []
-        rows.append(ts)
-        rows.append(exp)
-        self._count += 1
-        # The wheel entry carries a direct reference to the rows list
-        # (eviction removes from it without re-walking the index) and the
-        # packed key, so purge never re-packs.
-        wheel = self._expiry
-        bucket = wheel.fine.get(exp)
-        if bucket is not None:
-            bucket.append((rows, ts, exp, key, values, pk))
-        else:
-            wheel.schedule(exp, (rows, ts, exp, key, values, pk))
-
-    def remove(self, key: Values, values: Values, ts: int, exp: int) -> bool:
-        """Remove one occurrence of (values, [ts, exp)); False if absent."""
-        pk = _pack_key(key)
-        slot = (
-            self._index.get(pk, -1) if pk >= 0 else self._overflow.get(key, -1)
-        )
-        if slot < 0:
-            return False
-        group = self._groups[slot]
-        rows = group.get(values)
-        if not rows:
-            return False
-        found = -1
-        for i in range(0, len(rows), 2):
-            if rows[i] == ts and rows[i + 1] == exp:
-                found = i
-                break
-        if found < 0:
-            return False
-        del rows[found : found + 2]
-        self._count -= 1
-        if not rows:
-            del group[values]
-            if not group:
-                self._release(slot, pk, key)
-        return True
-
-    def _release(self, slot: int, pk: int, key: Values) -> None:
-        if pk >= 0:
-            del self._index[pk]
-        else:
-            del self._overflow[key]
-        self._keys[slot] = None
-        self._groups[slot] = None
-        self._free.append(slot)
-
-    def probe_group(self, key: Values) -> "dict[Values, list[int]] | None":
-        """The key's raw ``values -> flat ts/exp pairs`` group (hot view)."""
-        pk = _pack_key(key)
-        slot = (
-            self._index.get(pk, -1) if pk >= 0 else self._overflow.get(key, -1)
-        )
-        if slot < 0:
-            return None
-        return self._groups[slot]
-
-    def purge(self, t: int) -> None:
-        """Drop bindings whose validity ended at or before ``t`` — one
-        flat wheel drain; entries already removed by explicit deletions
-        find no matching pair and are skipped as stale.  The common case
-        (a singleton rows list holding exactly this entry's pair) is
-        recognized without the pair scan, and the wheel entry's stored
-        packed key avoids re-packing on group teardown."""
-        index = self._index
-        overflow = self._overflow
-        groups_col = self._groups
-        for rows, ts, exp, key, values, pk in self._expiry.advance(t):
-            n = len(rows)
-            if n == 2:
-                if rows[0] != ts or rows[1] != exp:
-                    continue  # stale entry
-                del rows[:]
-            else:
-                found = -1
-                for i in range(0, n, 2):
-                    if rows[i] == ts and rows[i + 1] == exp:
-                        found = i
-                        break
-                if found < 0:
-                    continue  # stale entry
-                del rows[found : found + 2]
-            self._count -= 1
-            if not rows:
-                slot = index.get(pk, -1) if pk >= 0 else overflow.get(key, -1)
-                if slot < 0:
-                    continue
-                group = groups_col[slot]
-                if group.get(values) is rows:
-                    del group[values]
-                    if not group:
-                        self._release(slot, pk, key)
-
-    def __len__(self) -> int:
-        return self._count
-
-    # ------------------------------------------------------------------
-    # Checkpointing — same blob shape as _HashTable
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        table = []
-        groups_col = self._groups
-        for slot, key in enumerate(self._keys):
-            if key is None:
-                continue
-            group = groups_col[slot]
-            table.append(
-                (
-                    key,
-                    [
-                        (
-                            values,
-                            [
-                                (rows[i], rows[i + 1])
-                                for i in range(0, len(rows), 2)
-                            ],
-                        )
-                        for values, rows in group.items()
-                    ],
-                )
-            )
-        wheel = self._expiry.snapshot(
-            encode=lambda entry: (entry[1], entry[2], entry[3], entry[4])
-        )
-        return {"table": table, "count": self._count, "wheel": wheel}
-
-    def restore_state(self, state: dict) -> None:
-        self._index = {}
-        self._overflow = {}
-        self._keys = []
-        self._groups = []
-        self._free = []
-        for key, groups in state["table"]:
-            key = tuple(key)
-            slot = len(self._keys)
-            self._keys.append(key)
-            group: dict[Values, list[int]] = {}
-            for values, rows in groups:
-                flat: list[int] = []
-                for ts, exp in rows:
-                    flat.append(ts)
-                    flat.append(exp)
-                group[tuple(values)] = flat
-            self._groups.append(group)
-            pk = _pack_key(key)
-            if pk >= 0:
-                self._index[pk] = slot
-            else:
-                self._overflow[key] = slot
-        self._count = state["count"]
-        groups_col = self._groups
-        index = self._index
-        overflow = self._overflow
-
-        def decode(entry):
-            ts, exp, key, values = entry
-            key = tuple(key)
-            values = tuple(values)
-            pk = _pack_key(key)
-            slot = index.get(pk, -1) if pk >= 0 else overflow.get(key, -1)
-            rows = groups_col[slot].get(values) if slot >= 0 else None
-            if rows is None:
-                rows = []  # stale entry: purge finds no pair and skips it
-            return (rows, ts, exp, key, values, pk)
-
-        self._expiry = TimingWheel()
-        self._expiry.restore(state["wheel"], decode=decode)
-
-
 class _Node:
     """A node of the internal join tree; produces bindings upward.
 
@@ -584,16 +300,6 @@ class _JoinNode(_Node):
         self._left_single = self._left_key[0] if len(self._left_key) == 1 else None
         self._right_single = (
             self._right_key[0] if len(self._right_key) == 1 else None
-        )
-        #: two shared variables (the next most common shape): the pair of
-        #: tuple indices per side — the arrays-layout paths inline the
-        #: two-component pack ((a << 21) | b, matching ``pack2``) instead
-        #: of the generic gather + _pack_key call
-        self._left_pair = (
-            self._left_key if len(self._left_key) == 2 else None
-        )
-        self._right_pair = (
-            self._right_key if len(self._right_key) == 2 else None
         )
         # positions in the right child's values that extend the output
         self._right_extend = tuple(
@@ -733,262 +439,27 @@ class _JoinNode(_Node):
             return
         parent = self.parent
         parent_side = self.parent_side
-        intersect = interval.intersect
+        ts = interval.ts
+        exp = interval.exp
         for other_values, intervals in group.items():
             if side == 0:
                 joined_values = self._combine(values, other_values)
             else:
                 joined_values = self._combine(other_values, values)
             for other_interval in intervals:
-                joined = intersect(other_interval)
-                if joined is None:
-                    continue
-                parent.on_binding(parent_side, joined_values, joined, sign)
-
-    def on_binding2(
-        self, side: int, values: Values, ts: int, exp: int, sign: int
-    ) -> None:
-        """Arrays-layout binding path: validity as two scalars, state in
-        :class:`_ArrayHashTable`.  Mirrors :meth:`on_binding` exactly
-        (including shard routing — the exchange payload format is shared
-        by both layouts).  The table access is inlined: the key is
-        packed once and both the own-side insert and the other-side
-        probe resolve through single int-keyed dict lookups."""
-        if side == 0:
-            single = self._left_single
-            if single is not None:
-                v = values[single]
-                key = (v,)
-                pk = v if type(v) is int and v >= 0 else -1
-            elif self._left_pair is not None:
-                i, j = self._left_pair
-                a = values[i]
-                b = values[j]
-                key = (a, b)
-                if (
-                    type(a) is int
-                    and type(b) is int
-                    and 0 <= a < PACK_LIMIT
-                    and 0 <= b < PACK_LIMIT
-                ):
-                    pk = (a << 21) | b
-                else:
-                    pk = -1
-            else:
-                key = tuple(values[i] for i in self._left_key)
-                pk = _pack_key(key)
-            own, other = self._tables
-        else:
-            single = self._right_single
-            if single is not None:
-                v = values[single]
-                key = (v,)
-                pk = v if type(v) is int and v >= 0 else -1
-            elif self._right_pair is not None:
-                i, j = self._right_pair
-                a = values[i]
-                b = values[j]
-                key = (a, b)
-                if (
-                    type(a) is int
-                    and type(b) is int
-                    and 0 <= a < PACK_LIMIT
-                    and 0 <= b < PACK_LIMIT
-                ):
-                    pk = (a << 21) | b
-                else:
-                    pk = -1
-            else:
-                key = tuple(values[i] for i in self._right_key)
-                pk = _pack_key(key)
-            other, own = self._tables
-        shard = self._shard
-        if shard is not None:
-            ctx, uid, index, drop_left, drop_right = shard
-            dest = ctx.owner_of_key(key)
-            if dest != ctx.shard_id:
-                if drop_left if side == 0 else drop_right:
-                    return
-                ctx.send(dest, uid, (index, side, values, ts, exp, sign))
-                return
-        if sign == INSERT:
-            # Inlined _ArrayHashTable.insert (packed key reused below).
-            if pk >= 0:
-                slot = own._index.get(pk, -1)
-            else:
-                slot = own._overflow.get(key, -1)
-            if slot < 0:
-                free = own._free
-                if free:
-                    slot = free.pop()
-                    own._keys[slot] = key
-                    own._groups[slot] = {}
-                else:
-                    slot = len(own._keys)
-                    own._keys.append(key)
-                    own._groups.append({})
-                if pk >= 0:
-                    own._index[pk] = slot
-                else:
-                    own._overflow[key] = slot
-            own_group = own._groups[slot]
-            stored = own_group.get(values)
-            if stored is None:
-                own_group[values] = stored = []
-            stored.append(ts)
-            stored.append(exp)
-            own._count += 1
-            wheel = own._expiry
-            bucket = wheel.fine.get(exp)
-            if bucket is not None:
-                bucket.append((stored, ts, exp, key, values, pk))
-            else:
-                wheel.schedule(exp, (stored, ts, exp, key, values, pk))
-        else:
-            if not own.remove(key, values, ts, exp):
-                # Retraction of a tuple this operator never stored (it may
-                # have expired already); nothing joined with it remains.
-                return
-        if pk >= 0:
-            other_slot = other._index.get(pk, -1)
-        else:
-            other_slot = other._overflow.get(key, -1)
-        if other_slot < 0:
-            return
-        group = other._groups[other_slot]
-        if not group:
-            return
-        parent = self.parent
-        parent_side = self.parent_side
-        combine = self._combine
-        left_side = side == 0
-        for other_values, rows in group.items():
-            if left_side:
-                joined_values = combine(values, other_values)
-            else:
-                joined_values = combine(other_values, values)
-            for i in range(0, len(rows), 2):
-                other_ts = rows[i]
+                # Inlined Interval.intersect: no call (and no allocation)
+                # for the disjoint pairs.
+                other_ts = other_interval.ts
                 joined_ts = ts if ts >= other_ts else other_ts
-                other_exp = rows[i + 1]
+                other_exp = other_interval.exp
                 joined_exp = exp if exp <= other_exp else other_exp
                 if joined_ts < joined_exp:
-                    parent.on_binding2(
-                        parent_side, joined_values, joined_ts, joined_exp, sign
+                    parent.on_binding(
+                        parent_side,
+                        joined_values,
+                        Interval(joined_ts, joined_exp),
+                        sign,
                     )
-
-    def on_rows2(
-        self, side: int, rows_in: "list[tuple[Values, int, int]]"
-    ) -> "list[tuple[Values, int, int]]":
-        """Arrays-layout batched insert-and-probe (the vector kernel).
-
-        Same contract as :meth:`on_rows` — per-row insert-then-probe in
-        arrival order over one node call, emission order bit-identical
-        to the per-tuple path — with the hash-table access inlined over
-        the int64 index: one key pack + one open-addressing lookup per
-        row, flat scalar pairs per match, no Interval anywhere.  Only
-        valid for insert-only, unsharded runs (the caller gates on both).
-        """
-        out: list[tuple[Values, int, int]] = []
-        left_side = side == 0
-        if left_side:
-            single = self._left_single
-            pair = self._left_pair
-            key_index = self._left_key
-            own, other = self._tables
-        else:
-            single = self._right_single
-            pair = self._right_pair
-            key_index = self._right_key
-            other, own = self._tables
-        wheel = own._expiry
-        fine = wheel.fine
-        schedule = wheel.schedule
-        own_index = own._index
-        own_overflow = own._overflow
-        own_keys = own._keys
-        own_groups = own._groups
-        own_free = own._free
-        other_index_get = other._index.get
-        other_overflow = other._overflow
-        other_groups = other._groups
-        combine = self._combine
-        append = out.append
-        inserted = 0
-        for values, ts, exp in rows_in:
-            if single is not None:
-                v = values[single]
-                key = (v,)
-                pk = v if type(v) is int and v >= 0 else -1
-            elif pair is not None:
-                a = values[pair[0]]
-                b = values[pair[1]]
-                key = (a, b)
-                if (
-                    type(a) is int
-                    and type(b) is int
-                    and 0 <= a < PACK_LIMIT
-                    and 0 <= b < PACK_LIMIT
-                ):
-                    pk = (a << 21) | b
-                else:
-                    pk = -1
-            else:
-                key = tuple(values[i] for i in key_index)
-                pk = _pack_key(key)
-            if pk >= 0:
-                slot = own_index.get(pk, -1)
-            else:
-                slot = own_overflow.get(key, -1)
-            if slot < 0:
-                if own_free:
-                    slot = own_free.pop()
-                    own_keys[slot] = key
-                    own_groups[slot] = {}
-                else:
-                    slot = len(own_keys)
-                    own_keys.append(key)
-                    own_groups.append({})
-                if pk >= 0:
-                    own_index[pk] = slot
-                else:
-                    own_overflow[key] = slot
-            group = own_groups[slot]
-            stored = group.get(values)
-            if stored is None:
-                group[values] = stored = []
-            stored.append(ts)
-            stored.append(exp)
-            inserted += 1
-            bucket = fine.get(exp)
-            if bucket is not None:
-                bucket.append((stored, ts, exp, key, values, pk))
-            else:
-                schedule(exp, (stored, ts, exp, key, values, pk))
-            # Probe the other side (same packed key; skip re-packing).
-            if pk >= 0:
-                other_slot = other_index_get(pk, -1)
-            else:
-                other_slot = other_overflow.get(key, -1)
-            if other_slot < 0:
-                continue
-            other_group = other_groups[other_slot]
-            if not other_group:
-                continue
-            for other_values, other_rows in other_group.items():
-                if left_side:
-                    joined_values = combine(values, other_values)
-                else:
-                    joined_values = combine(other_values, values)
-                for i in range(0, len(other_rows), 2):
-                    other_ts = other_rows[i]
-                    joined_ts = ts if ts >= other_ts else other_ts
-                    other_exp = other_rows[i + 1]
-                    joined_exp = exp if exp <= other_exp else other_exp
-                    if joined_ts < joined_exp:
-                        append((joined_values, joined_ts, joined_exp))
-        own._count += inserted
-        return out
 
     def _combine(self, left_values: Values, right_values: Values) -> Values:
         single = self._extend_single
@@ -1039,43 +510,6 @@ class PatternOp(PhysicalOperator):
         #: per-node and cannot route exchanges, so sharded patterns
         #: keep the per-binding path
         self._sharded = False
-        #: "objects" (_HashTable + Interval bindings; the rows/columnar
-        #: golden reference) or "arrays" (_ArrayHashTable over the int64
-        #: index with scalar validity); switched by the engine via
-        #: :meth:`configure_state_layout`
-        self.state_layout = "objects"
-
-    def configure_state_layout(self, layout: str) -> bool:
-        """Switch the join tree's state representation (empty state only).
-
-        Checkpoint blobs are layout-independent (identical shapes), so a
-        restore after this call loads old-layout checkpoints into the
-        new structures directly.  Returns True when the layout changed.
-        """
-        if layout not in STATE_LAYOUTS:
-            raise ExecutionError(f"{self.name}: unknown state layout {layout!r}")
-        if layout == self.state_layout:
-            return False
-        if self.state_size():
-            raise ExecutionError(
-                f"{self.name}: cannot switch state layout with live state"
-            )
-        self.state_layout = layout
-        if layout == "arrays":
-            for join in self._joins:
-                join._tables = (_ArrayHashTable(), _ArrayHashTable())
-            # Instance-level rebinding: the arrays chain carries validity
-            # as two scalars through on_binding2 end to end — no per-call
-            # layout branching anywhere.
-            self.on_event = self._on_event_arr
-            self.on_batch = self._on_batch_arr
-            self.receive_exchange = self._receive_exchange_arr
-        else:
-            for join in self._joins:
-                join._tables = (_HashTable(), _HashTable())
-            for name in ("on_event", "on_batch", "receive_exchange"):
-                self.__dict__.pop(name, None)
-        return True
 
     # ------------------------------------------------------------------
     # Sharded execution
@@ -1230,145 +664,6 @@ class PatternOp(PhysicalOperator):
         finally:
             self._end_batch_cols(boundary)
 
-    # ------------------------------------------------------------------
-    # Arrays layout (``state_layout="arrays"``): the same insert-and-
-    # probe discipline through the scalar on_binding2 chain.  Emission
-    # order is bit-identical to the object layout (same per-tuple order,
-    # same within-group iteration).
-    # ------------------------------------------------------------------
-    def _receive_exchange_arr(self, payload: tuple) -> None:
-        index, side, values, ts, exp, sign = payload
-        self._joins[index].on_binding2(side, values, ts, exp, sign)
-
-    def _on_event_arr(self, port: int, event: Event) -> None:
-        try:
-            leaf = self._leaves[port]
-        except IndexError as exc:
-            raise ExecutionError(f"{self.name}: no conjunct on port {port}") from exc
-        sgt = event.sgt
-        interval = sgt.interval
-        if leaf.loop:
-            if sgt.src != sgt.trg:
-                return
-            leaf.parent.on_binding2(
-                leaf.parent_side, (sgt.src,), interval.ts, interval.exp, event.sign
-            )
-        else:
-            leaf.parent.on_binding2(
-                leaf.parent_side,
-                (sgt.src, sgt.trg),
-                interval.ts,
-                interval.exp,
-                event.sign,
-            )
-
-    def _on_batch_arr(self, port: int, batch) -> None:
-        try:
-            leaf = self._leaves[port]
-        except IndexError as exc:
-            raise ExecutionError(f"{self.name}: no conjunct on port {port}") from exc
-        node = leaf.parent
-        side = leaf.parent_side
-        loop = leaf.loop
-        cols = batch.columns
-        if cols is not None:
-            if batch.signs is None and not self._sharded and cols.is_vector():
-                self._on_columns_vector2(leaf, batch.boundary, cols)
-                return
-            self._begin_batch_cols(self.out_label)
-            try:
-                signs = batch.signs
-                src, dst, ts, exp = cols.row_lists()
-                if signs is None:
-                    for i in range(len(src)):
-                        s = src[i]
-                        d = dst[i]
-                        if loop:
-                            if s != d:
-                                continue
-                            node.on_binding2(side, (s,), ts[i], exp[i], INSERT)
-                        else:
-                            node.on_binding2(side, (s, d), ts[i], exp[i], INSERT)
-                else:
-                    for i in range(len(src)):
-                        s = src[i]
-                        d = dst[i]
-                        if loop:
-                            if s != d:
-                                continue
-                            node.on_binding2(side, (s,), ts[i], exp[i], signs[i])
-                        else:
-                            node.on_binding2(side, (s, d), ts[i], exp[i], signs[i])
-            finally:
-                self._end_batch_cols(batch.boundary)
-            return
-        self._begin_batch()
-        try:
-            signs = batch.signs
-            if signs is None:
-                for sgt in batch.sgts:
-                    if loop and sgt.src != sgt.trg:
-                        continue
-                    interval = sgt.interval
-                    node.on_binding2(
-                        side,
-                        (sgt.src,) if loop else (sgt.src, sgt.trg),
-                        interval.ts,
-                        interval.exp,
-                        INSERT,
-                    )
-            else:
-                for sgt, sign in zip(batch.sgts, signs):
-                    if loop and sgt.src != sgt.trg:
-                        continue
-                    interval = sgt.interval
-                    node.on_binding2(
-                        side,
-                        (sgt.src,) if loop else (sgt.src, sgt.trg),
-                        interval.ts,
-                        interval.exp,
-                        sign,
-                    )
-        finally:
-            self._end_batch(batch.boundary)
-
-    def _on_columns_vector2(self, leaf: _LeafNode, boundary: int, cols) -> None:
-        """Level-wise batched join of one vector batch over array tables
-        (see :meth:`_on_columns_vector`; identical structure, with
-        :meth:`_JoinNode.on_rows2` as the per-level kernel)."""
-        src, dst, ts, exp = cols.row_lists()
-        if leaf.loop:
-            rows = [
-                ((s,), t, e)
-                for s, d, t, e in zip(src, dst, ts, exp)
-                if s == d
-            ]
-        else:
-            rows = [((s, d), t, e) for s, d, t, e in zip(src, dst, ts, exp)]
-        self._begin_batch_cols(self.out_label)
-        try:
-            node = leaf.parent
-            side = leaf.parent_side
-            while rows and isinstance(node, _JoinNode):
-                rows = node.on_rows2(side, rows)
-                side = node.parent_side
-                node = node.parent
-            if rows:
-                adapter = node
-                src_index = adapter._src_index
-                trg_index = adapter._trg_index
-                capture = self._capture_cols
-                for values, row_ts, row_exp in rows:
-                    capture.append(
-                        values[src_index],
-                        values[trg_index],
-                        row_ts,
-                        row_exp,
-                        INSERT,
-                    )
-        finally:
-            self._end_batch_cols(boundary)
-
     def on_advance(self, t: int) -> None:
         for join in self._joins:
             join.purge(t)
@@ -1442,16 +737,3 @@ class _ResultAdapter:
             cols.append(src, trg, interval.ts, interval.exp, sign)
             return
         op.emit_sgt(SGT(src, trg, self._label, interval), sign)
-
-    def on_binding2(
-        self, side: int, values: Values, ts: int, exp: int, sign: int
-    ) -> None:
-        """Scalar-validity terminal of the arrays-layout binding chain."""
-        src = values[self._src_index]
-        trg = values[self._trg_index]
-        op = self._op
-        cols = op._capture_cols
-        if cols is not None:
-            cols.append(src, trg, ts, exp, sign)
-            return
-        op.emit_sgt(SGT(src, trg, self._label, Interval(ts, exp)), sign)

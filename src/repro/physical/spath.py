@@ -42,16 +42,9 @@ from repro.physical.delta_index import (
     SpanningTree,
     TreeNode,
     WindowAdjacency,
+    new_maintenance_counters,
     repair_nodes,
     reverse_transitions,
-)
-from repro.physical.state_arrays import (
-    STATE_LAYOUTS,
-    ArrayAdjacency,
-    ArrayPathIndex,
-    ArraySpanningTree,
-    new_maintenance_counters,
-    repair_nodes_arrays,
 )
 from repro.regex.ast import RegexNode
 from repro.regex.dfa import DFA, dfa_from_regex
@@ -97,41 +90,7 @@ class SPathOp(ColumnarPathIngest, PhysicalOperator):
         #: spanning trees whose root vertex the shard owns (the adjacency
         #: stays complete — traversals need the whole snapshot graph)
         self.shard_ctx = None
-        #: "objects" (TreeNode/Interval structures; the rows/columnar
-        #: golden reference) or "arrays" (struct-of-arrays forest + flat
-        #: scalar adjacency); switched via :meth:`configure_state_layout`
-        self.state_layout = "objects"
         self.maintenance_counters = new_maintenance_counters()
-
-    def configure_state_layout(self, layout: str) -> bool:
-        """Switch the operator's state representation (empty state only).
-
-        Checkpoint blobs are layout-independent (identical shapes), so a
-        restore after this call loads old-layout checkpoints into the new
-        structures directly.  Returns True when the layout changed.
-        """
-        if layout not in STATE_LAYOUTS:
-            raise ExecutionError(f"{self.name}: unknown state layout {layout!r}")
-        if layout == self.state_layout:
-            return False
-        if self.state_size() or self._node_expiry:
-            raise ExecutionError(
-                f"{self.name}: cannot switch state layout with live state"
-            )
-        self.state_layout = layout
-        if layout == "arrays":
-            self.index = ArrayPathIndex(self._start)
-            self.adjacency = ArrayAdjacency()
-            self.on_event = self._on_event_arr
-            self.on_batch = self._on_batch_arr
-            self.on_advance = self._on_advance_arr
-            self._consume_columns = self._consume_columns_arr
-        else:
-            self.index = DeltaPathIndex(self._start)
-            self.adjacency = WindowAdjacency()
-            for name in ("on_event", "on_batch", "on_advance", "_consume_columns"):
-                self.__dict__.pop(name, None)
-        return True
 
     def set_shard(self, ctx) -> None:
         """Partition the Δ-tree forest by root vertex across shards."""
@@ -408,304 +367,6 @@ class SPathOp(ColumnarPathIngest, PhysicalOperator):
         if expired:
             counters["boundaries"] += 1
             counters["expired_nodes"] += expired
-
-    # ------------------------------------------------------------------
-    # Arrays layout (``state_layout="arrays"``): Expand/Propagate over
-    # struct-of-arrays state — validity as two scalars end to end, flat
-    # pair-list adjacency scans, bulk epoch drains at boundaries.
-    # Iteration orders match the object layout exactly (see
-    # repro.physical.state_arrays), so both layouts are bit-identical.
-    # ------------------------------------------------------------------
-    def _on_event_arr(self, port: int, event: Event) -> None:
-        try:
-            label = self.labels[port]
-        except IndexError as exc:
-            raise ExecutionError(f"{self.name}: unexpected port {port}") from exc
-        sgt = event.sgt
-        interval = sgt.interval
-        if event.sign == INSERT:
-            self._insert_arr(sgt.src, sgt.trg, label, interval.ts, interval.exp)
-        else:
-            self._delete_arr(sgt.src, sgt.trg, label, interval.ts, interval.exp)
-
-    def _on_batch_arr(self, port: int, batch) -> None:
-        try:
-            label = self.labels[port]
-        except IndexError as exc:
-            raise ExecutionError(f"{self.name}: unexpected port {port}") from exc
-        if batch.columns is not None:
-            self._ingest_columns(batch, label)
-            return
-        self._begin_batch()
-        try:
-            signs = batch.signs
-            if signs is None:
-                insert = self._insert_arr
-                for sgt in batch.sgts:
-                    interval = sgt.interval
-                    insert(sgt.src, sgt.trg, label, interval.ts, interval.exp)
-            else:
-                for sgt, sign in zip(batch.sgts, signs):
-                    interval = sgt.interval
-                    if sign == INSERT:
-                        self._insert_arr(
-                            sgt.src, sgt.trg, label, interval.ts, interval.exp
-                        )
-                    else:
-                        self._delete_arr(
-                            sgt.src, sgt.trg, label, interval.ts, interval.exp
-                        )
-        finally:
-            self._end_batch(batch.boundary)
-
-    def _insert_arr(self, u, v, label: Label, ts: int, exp: int) -> None:
-        now = self._now
-        if ts > now:
-            now = ts
-            self._now = now
-        self.adjacency.add(u, v, label, ts, exp)
-
-        transitions = self._transitions[label]
-        index = self.index
-        trees = index.trees
-        inverted = index._inverted
-        start = self._start
-        shard = self.shard_ctx
-        tasks: list[tuple[object, int, int]] = []
-        for s, t in transitions:
-            if (
-                s == start
-                and u not in trees
-                and (shard is None or shard.owns_vertex(u))
-            ):
-                index.ensure_tree(u)
-            roots = inverted.get((u, s))
-            if roots:
-                for root in roots:
-                    tasks.append((root, s, t))
-        for root, s, t in tasks:
-            tree = trees.get(root)
-            if tree is None:
-                continue
-            self._link_arr(tree, (u, s), (v, t), label, ts, exp, now)
-
-    def _link_arr(
-        self,
-        tree: ArraySpanningTree,
-        parent_key: NodeKey,
-        child_key: NodeKey,
-        label: Label,
-        edge_ts: int,
-        edge_exp: int,
-        now: int,
-    ) -> None:
-        """Expand/Propagate over tree columns and flat-pair groups."""
-        slots_get = tree.slots.get
-        ts_col = tree.ts
-        exp_col = tree.exp
-        root = tree.root
-        root_vertex = tree.root_vertex
-        accepting = self._accepting
-        dfa_delta = self._delta
-        out_group = self.adjacency.out_group
-        stack = [(parent_key, child_key, label, edge_ts, edge_exp)]
-        while stack:
-            parent_key, child_key, label, ts, exp = stack.pop()
-            pslot = slots_get(parent_key)
-            if pslot is None:
-                continue
-            parent_exp = exp_col[pslot]
-            if parent_exp <= now and parent_key != root:
-                continue
-            parent_ts = ts_col[pslot]
-            if parent_ts > ts:
-                ts = parent_ts
-            if parent_exp < exp:
-                exp = parent_exp
-            if exp <= now:
-                continue
-
-            cslot = slots_get(child_key)
-            if cslot is not None and exp_col[cslot] <= now:
-                # An expired remnant: by the child.exp <= parent.exp
-                # invariant its whole subtree is expired; discard and
-                # treat as absent.
-                for removed_key in tree.remove_subtree(child_key):
-                    self.index.unregister(root_vertex, removed_key)
-                cslot = None
-
-            if cslot is None:
-                if child_key == root:
-                    continue  # a cycle back to the root adds nothing
-                cslot = tree.add_child(parent_key, child_key, ts, exp, label)
-                self.index.register(root_vertex, child_key)
-                self._schedule_expiry(root_vertex, child_key, exp)
-                if child_key[1] in accepting:
-                    self._emit_result_arr(tree, child_key, cslot, INSERT)
-            elif exp_col[cslot] < exp:
-                old_ts = ts_col[cslot]
-                old_exp = exp_col[cslot]
-                tree.reparent(child_key, parent_key, label)
-                if ts < old_ts:
-                    ts_col[cslot] = ts
-                exp_col[cslot] = exp  # exp > old_exp in this branch
-                self._schedule_expiry(root_vertex, child_key, exp)
-                if child_key[1] in accepting:
-                    # Keep the emitted derivation count at exactly one per
-                    # node: retract the previous emission, then emit the
-                    # widened interval (which always contains the old one).
-                    self._emit_interval(
-                        tree, child_key, Interval(old_ts, old_exp), DELETE
-                    )
-                    self._emit_result_arr(tree, child_key, cslot, INSERT)
-            else:
-                continue  # existing derivation is at least as good
-
-            vertex, state = child_key
-            group = out_group(vertex)
-            if not group:
-                continue
-            for (out_label, w), rows in group.items():
-                next_state = dfa_delta(state, out_label)
-                if next_state is None:
-                    continue
-                # Max-expiry pair valid at `now`, two ints per candidate.
-                best_ts = -1
-                best_exp = now
-                for i in range(0, len(rows), 2):
-                    row_exp = rows[i + 1]
-                    if row_exp > best_exp and rows[i] <= now:
-                        best_ts = rows[i]
-                        best_exp = row_exp
-                if best_ts >= 0:
-                    stack.append(
-                        (child_key, (w, next_state), out_label, best_ts, best_exp)
-                    )
-
-    def _delete_arr(self, u, v, label: Label, ts: int, exp: int) -> None:
-        now = max(self._now, ts)
-        if not self.adjacency.remove(u, v, label, ts, exp):
-            return  # unknown (or already expired) edge: no effect
-        for s, t in self.dfa.states_with_transition_on(label):
-            child_key = (v, t)
-            for root in self.index.roots_containing(child_key):
-                tree = self.index.tree(root)
-                if tree is None:
-                    continue
-                slot = tree.slots.get(child_key)
-                if (
-                    slot is None
-                    or tree.parent[slot] != (u, s)
-                    or tree.via[slot] != label
-                ):
-                    continue  # non-tree edge: spanning trees unchanged
-                self._repair_subtree_arr(tree, child_key, now)
-
-    def _repair_subtree_arr(
-        self, tree: ArraySpanningTree, key: NodeKey, now: int
-    ) -> None:
-        marked: set[NodeKey] = set()
-        old_state: dict[NodeKey, tuple[int, int]] = {}
-        slots = tree.slots
-        ts_col = tree.ts
-        exp_col = tree.exp
-        children_col = tree.children
-        stack = [key]
-        while stack:
-            current = stack.pop()
-            slot = slots.get(current)
-            if slot is None or current in marked:
-                continue
-            marked.add(current)
-            old_state[current] = (ts_col[slot], exp_col[slot])
-            stack.extend(children_col[slot])
-
-        def on_fix(fixed_key: NodeKey, slot: int) -> None:
-            self._schedule_expiry(tree.root_vertex, fixed_key, exp_col[slot])
-            if not self.dfa.is_accepting(fixed_key[1]):
-                return
-            old_ts, old_exp = old_state[fixed_key]
-            # Retract the lost derivation, restore its historical part
-            # (it was genuinely valid until the deletion time), and emit
-            # the re-derived interval.
-            self._emit_interval(tree, fixed_key, Interval(old_ts, old_exp), DELETE)
-            history_end = min(now, old_exp)
-            if history_end > old_ts:
-                self._emit_interval(
-                    tree, fixed_key, Interval(old_ts, history_end), INSERT
-                )
-            self._emit_result_arr(tree, fixed_key, slot, INSERT)
-
-        def on_remove(removed_key: NodeKey, slot: int) -> None:
-            self.index.unregister(tree.root_vertex, removed_key)
-            if self.dfa.is_accepting(removed_key[1]):
-                old_ts, old_exp = old_state[removed_key]
-                self._emit_interval(
-                    tree, removed_key, Interval(old_ts, old_exp), DELETE
-                )
-                history_end = min(now, old_exp)
-                if history_end > old_ts:
-                    self._emit_interval(
-                        tree, removed_key, Interval(old_ts, history_end), INSERT
-                    )
-
-        repair_nodes_arrays(
-            tree,
-            marked,
-            self.adjacency,
-            self.dfa,
-            self._reverse,
-            now,
-            on_fix,
-            on_remove,
-        )
-        self.index.drop_tree_if_trivial(tree.root_vertex)
-
-    def _on_advance_arr(self, t: int) -> None:
-        """Direct-approach boundary maintenance over the array forest:
-        one bulk epoch drain, expired subtrees dropped with no repairs
-        (and no emissions, so nothing needs batching)."""
-        self._now = max(self._now, t)
-        self.adjacency.purge(t)
-        trees = self.index.trees
-        counters = self.maintenance_counters
-        drained = 0
-        expired = 0
-        for _, items in self._node_expiry.drain_epochs(t):
-            drained += len(items)
-            for root, key in items:
-                tree = trees.get(root)
-                if tree is None:
-                    continue
-                slot = tree.slots.get(key)
-                if slot is None or tree.exp[slot] > t:
-                    continue  # stale entry (node improved or already gone)
-                expired += 1
-                for removed_key in tree.remove_subtree(key):
-                    self.index.unregister(tree.root_vertex, removed_key)
-                self.index.drop_tree_if_trivial(tree.root_vertex)
-        if drained:
-            counters["drained_entries"] += drained
-        if expired:
-            counters["boundaries"] += 1
-            counters["expired_nodes"] += expired
-
-    def _emit_result_arr(
-        self, tree: ArraySpanningTree, key: NodeKey, slot: int, sign: int
-    ) -> None:
-        cols = self._capture_cols
-        if cols is not None:
-            cols.append(tree.root_vertex, key[0], tree.ts[slot], tree.exp[slot], sign)
-            return
-        payload = tree.path_to(key) if self.materialize_paths else None
-        sgt = SGT(
-            tree.root_vertex,
-            key[0],
-            self.out_label,
-            Interval(tree.ts[slot], tree.exp[slot]),
-            payload,
-        )
-        self.emit_sgt(sgt, sign)
 
     # ------------------------------------------------------------------
     # Helpers

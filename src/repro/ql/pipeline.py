@@ -360,26 +360,17 @@ def kernel_choices(
                 j._left_single is not None and j._right_single is not None
                 for j in op._joins
             ):
-                tag = "join.single-key-batch+packed-int64"
+                tag = "join.single-key-batch"
             else:
-                tag = "join.multi-key-batch+packed-int64"
+                tag = "join.multi-key-batch"
         elif isinstance(op, UnionOp):
             tag = "union.rows" if execution == "rows" else "union.zero-copy"
         elif isinstance(op, CoalesceOp):
             tag = f"coalesce.{execution}" if not vector else "coalesce.batch"
         elif isinstance(op, (SPathOp, NegativeTupleRpqOp)):
-            # PATH expansion is order-sensitive: every mode keeps the
-            # arrival-order row loop.  Vector mode additionally runs the
-            # struct-of-arrays state (slotted trees, flat-pair
-            # adjacency) with window maintenance batched per boundary.
-            if vector:
-                tag = (
-                    "path.state-arrays+batched-rederive"
-                    if isinstance(op, NegativeTupleRpqOp)
-                    else "path.state-arrays+batched-drain"
-                )
-            else:
-                tag = "path.row-ingest" if execution != "rows" else "path.rows"
+            # PATH expansion is order-sensitive: every mode runs the
+            # same arrival-order row loop over the same state.
+            tag = "path.row-ingest"
         else:
             continue
         choices[id(op)] = tag
@@ -444,12 +435,9 @@ def explain_kernels(
             if mode == "grouped"
             else "same-label runs (order-strict plan)"
         )
-        header = (
-            f"execution: vector · ingress: {mode} ({detail})"
-            " · state: arrays"
-        )
+        header = f"execution: vector · ingress: {mode} ({detail})"
     else:
-        header = f"execution: {execution} · state: objects"
+        header = f"execution: {execution}"
     tree = explain_physical(physical, kernel_choices(physical, execution))
     return f"{header}\n{tree}"
 

@@ -150,7 +150,7 @@ class TestKernelSelection:
         physical = compile_plan(logical_plan(query), "negative", False, True)
         tags = set(kernel_choices(physical, "vector").values())
         assert "wscan.vector" in tags
-        assert "path.state-arrays+batched-rederive" in tags
+        assert "path.row-ingest" in tags
 
     def test_kernel_choices_columnar_mode(self):
         from repro.ql.pipeline import compile_plan, logical_plan
@@ -161,15 +161,17 @@ class TestKernelSelection:
         assert "wscan.columnar" in tags
         assert "path.row-ingest" in tags
         assert not any(t.endswith(".vector") for t in tags)
-        assert not any("state-arrays" in t for t in tags)
+        assert "path.row-ingest" in set(
+            kernel_choices(physical, "rows").values()
+        )
 
     def test_explain_kernels_level(self):
         text = _rpq().explain("kernels")
         assert text.startswith("execution: vector")
         assert "ingress: grouped" in text
-        assert "state: arrays" in text
+        assert "state:" not in text
         assert "[kernel=wscan.vector]" in text
-        assert "[kernel=path.state-arrays+batched-drain]" in text
+        assert "[kernel=path.row-ingest]" in text
 
     def test_explain_kernels_segmented_header(self):
         text = _rpq("(a b)+").explain("kernels")
