@@ -41,8 +41,8 @@ QUERIES_SWEPT = ("Q1", "Q5")
 BATCH_SIZES = (1, 16, 64, 256)
 #: DD is additionally measured at ``None`` — its native whole-epoch
 #: batching (one propagation per slide) — reported as ``epoch`` in the
-#: detail table.  (For SGA, ``None`` would select per-tuple execution,
-#: a different configuration, so it is not part of the sweep.)
+#: detail table.  (SGA's ``None`` — one flush per slide — is not part
+#: of the sweep.)
 DD_BATCH_SIZES = BATCH_SIZES + (None,)
 WINDOW = SlidingWindow(8 * HOUR, HOUR)
 

@@ -79,9 +79,7 @@ restored.close()
 #    layouts.  Snapshot under shards=2, restore under shards=3 — result
 #    sets match (event *order* is layout-specific, results are not).
 # ----------------------------------------------------------------------
-sharded = StreamingGraphEngine(
-    EngineConfig(backend="sga", shards=2, execution="columnar")
-)
+sharded = StreamingGraphEngine(EngineConfig(backend="sga", shards=2))
 sharded.register(plan, name="Q1")
 sharded.push_many(stream[:cut])
 sharded.checkpoint(store)

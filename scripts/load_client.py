@@ -302,9 +302,7 @@ def reference_streams(config: EngineConfig, edges: list[SGE]) -> dict:
 
 async def drive(args: argparse.Namespace) -> int:
     host, port = args.host, args.port
-    config = EngineConfig(
-        backend=args.backend, shards=args.shards, execution=args.execution
-    )
+    config = EngineConfig(backend=args.backend, shards=args.shards)
     tenants = [f"tenant{i}" for i in range(args.tenants)]
     failures: list[str] = []
 
@@ -466,9 +464,7 @@ async def drive_resume(args: argparse.Namespace) -> int:
     phase stopped — no gaps, no restarts — and (b) byte parity with an
     uninterrupted in-process engine fed prefix + suffix."""
     host, port = args.host, args.port
-    config = EngineConfig(
-        backend=args.backend, shards=args.shards, execution=args.execution
-    )
+    config = EngineConfig(backend=args.backend, shards=args.shards)
     state = json.loads(Path(args.state_file).read_text())
     tenants = [f"tenant{i}" for i in range(state["tenants"])]
     last_seqs = {q: int(n) for q, n in state["last_seqs"].items()}
@@ -592,9 +588,7 @@ async def drive_crash(args: argparse.Namespace) -> int:
     received before the kill must be byte-identical to a prefix of the
     in-process reference."""
     host, port = args.host, args.port
-    config = EngineConfig(
-        backend=args.backend, shards=args.shards, execution=args.execution
-    )
+    config = EngineConfig(backend=args.backend, shards=args.shards)
     tenants = [f"tenant{i}" for i in range(args.tenants)]
     failures: list[str] = []
 
@@ -738,9 +732,7 @@ async def drive_crash_resume(args: argparse.Namespace) -> int:
     be byte-identical to an uninterrupted run — no gaps, no duplicates,
     continuous sequence numbers across the crash."""
     host, port = args.host, args.port
-    config = EngineConfig(
-        backend=args.backend, shards=args.shards, execution=args.execution
-    )
+    config = EngineConfig(backend=args.backend, shards=args.shards)
     state = json.loads(Path(args.state_file).read_text())
     tenants = [f"tenant{i}" for i in range(state["tenants"])]
     crash_at = int(state["crash_at"])
@@ -913,9 +905,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     engine.add_argument("--backend", default="sga", choices=("sga", "dd"))
     engine.add_argument("--shards", type=int, default=1)
-    engine.add_argument(
-        "--execution", default="auto", choices=("auto", "columnar", "vector")
-    )
     args = parser.parse_args(argv)
     if args.phase == "resume":
         if not args.state_file:

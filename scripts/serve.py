@@ -11,7 +11,7 @@ Usage::
 
     python scripts/serve.py                      # 127.0.0.1:8765
     python scripts/serve.py --port 0             # pick a free port
-    python scripts/serve.py --shards 2 --execution columnar
+    python scripts/serve.py --shards 2
     python scripts/serve.py --ingest-rate 50000  # quota: edges/second
 
 Durability: ``--checkpoint-dir DIR`` snapshots every tenant into one
@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine = parser.add_argument_group("per-tenant engine configuration")
     engine.add_argument("--backend", default="sga", choices=("sga", "dd"))
     engine.add_argument("--shards", type=int, default=1)
-    engine.add_argument(
-        "--execution", default="auto", choices=("auto", "columnar", "vector")
-    )
     durability = parser.add_argument_group("durability")
     durability.add_argument(
         "--checkpoint-dir",
@@ -158,7 +155,6 @@ async def run(args: argparse.Namespace) -> int:
     config = EngineConfig(
         backend=args.backend,
         shards=args.shards,
-        execution=args.execution,
         checkpoint_policy=policy,
     )
     checkpoint_store = None

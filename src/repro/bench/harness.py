@@ -50,19 +50,13 @@ def run_sga_bench(
     stream: list[SGE],
     path_impl: str = "negative",
     batch_size: int | None = None,
-    execution: str = "auto",
 ) -> BenchResult:
     """Run the SGA backend over a stream and collect metrics.
 
     ``path_impl`` defaults to the negative-tuple RPQ operator — the
     prototype's default PATH implementation (Section 6.2.3); Table 3
     passes ``"spath"`` to measure the S-PATH alternative.  ``batch_size``
-    selects batched delta execution (``None`` = per-tuple).
-    ``execution`` pins the delta representation — ``"vector"`` /
-    ``"columnar"`` / ``"rows"``; the default ``"auto"`` resolves the
-    way the engine does (vector when numpy is importable).  Recorded
-    comparisons should pin it explicitly so baseline and candidate
-    entries name what they measured.
+    caps the edges per scheduler flush (``None`` = one flush per slide).
     """
     # Paths are not materialized: the DD baseline cannot return paths,
     # so the comparison is over result-pair production (as in the paper).
@@ -72,15 +66,10 @@ def run_sga_bench(
             path_impl=path_impl,
             materialize_paths=False,
             batch_size=batch_size,
-            execution=execution,
         )
     )
     handle = engine.register(plan, name="bench")
     stats = engine.push_many(stream)
-    # The system string deliberately omits the execution mode: trajectory
-    # entries are compared cell-by-cell across labels (pr4-columnar vs
-    # pr6-vectorized), so the cell key must stay stable; the entry's
-    # label/note carry which execution was pinned.
     suffix = "" if batch_size is None else f",b={batch_size}"
     return BenchResult(
         system=f"SGA[{path_impl}{suffix}]",

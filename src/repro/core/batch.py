@@ -98,13 +98,9 @@ class DeltaBatch:
         if rows is None:
             cols = self.columns
             label = cols.label
-            # row_lists() converts array-backed (vector-mode) columns to
-            # plain ints in one C call per column — numpy scalars must
-            # never reach SGT fields (decode rejects non-int ids).
-            src, dst, ts_col, exp_col = cols.row_lists()
             rows = [
                 SGT(s, d, label, Interval(ts, exp))
-                for s, d, ts, exp in zip(src, dst, ts_col, exp_col)
+                for s, d, ts, exp in zip(cols.src, cols.dst, cols.ts, cols.exp)
             ]
             self._sgts = rows
         return rows

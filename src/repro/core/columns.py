@@ -14,23 +14,13 @@ anything that still wants rows (the per-tuple fallback shim, fanout
 edges, sinks) materializes them lazily via
 :meth:`~repro.core.batch.DeltaBatch.sgts`.
 
-Column storage is representation-polymorphic: the ``"columnar"``
-execution mode carries plain Python lists (element reads from an
-``array('q')`` re-box every int, which makes pure-Python column loops
-*slower* than list iteration), while the ``"vector"`` mode carries
-numpy ``int64`` ndarrays end-to-end so kernels run as whole-column
-array ops.  :class:`DeltaColumns` accepts either; kernels pick their
-code path per batch via :func:`repro.core.nplib.is_array`, and every
-row materialization point funnels through
-:func:`repro.core.nplib.as_list` so numpy scalars never leak into
-row-land (see :meth:`row_lists` / :meth:`taken`).
+Columns are plain Python lists: element reads from an ``array('q')``
+re-box every int, which makes pure-Python column loops *slower* than
+list iteration.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.nplib import as_list, is_array
 from repro.core.tuples import Label
 
 #: Event signs (shared convention with :mod:`repro.dataflow.graph`).
@@ -44,7 +34,7 @@ class DeltaColumns:
     ``src`` and ``dst`` hold interned vertex ids, ``ts`` / ``exp`` the
     validity interval bounds; ``label`` is the single label shared by
     every row.  Columns are treated as immutable once emitted — relabel
-    (UNION's degenerate form) shares the arrays of its input.
+    (UNION's degenerate form) shares the lists of its input.
     """
 
     __slots__ = ("label", "src", "dst", "ts", "exp")
@@ -52,10 +42,10 @@ class DeltaColumns:
     def __init__(
         self,
         label: Label,
-        src: Sequence[int],
-        dst: Sequence[int],
-        ts: Sequence[int],
-        exp: Sequence[int],
+        src: list[int],
+        dst: list[int],
+        ts: list[int],
+        exp: list[int],
     ):
         if not (len(src) == len(dst) == len(ts) == len(exp)):
             raise ValueError(
@@ -74,49 +64,6 @@ class DeltaColumns:
     def relabeled(self, label: Label) -> "DeltaColumns":
         """Same rows under a different label (columns shared, zero copy)."""
         return DeltaColumns(label, self.src, self.dst, self.ts, self.exp)
-
-    def is_vector(self) -> bool:
-        """True iff the columns are numpy arrays (vector execution)."""
-        return is_array(self.src)
-
-    def row_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """All four columns as plain ``int`` lists.
-
-        Zero copy for list-backed columns; one ``tolist()`` per column
-        for array-backed ones.  This is the single safe gateway from
-        vector batches back to row-land (decode, per-tuple shims,
-        order-sensitive PATH ingest).
-        """
-        return (
-            as_list(self.src),
-            as_list(self.dst),
-            as_list(self.ts),
-            as_list(self.exp),
-        )
-
-    def taken(self, keep) -> "DeltaColumns":
-        """The rows selected by ``keep`` under the same label.
-
-        ``keep`` is a boolean mask or index array for array-backed
-        columns (numpy fancy indexing, one C call per column) and a list
-        of row indices for list-backed ones.
-        """
-        if is_array(self.src):
-            return DeltaColumns(
-                self.label,
-                self.src[keep],
-                self.dst[keep],
-                self.ts[keep],
-                self.exp[keep],
-            )
-        src, dst, ts, exp = self.src, self.dst, self.ts, self.exp
-        return DeltaColumns(
-            self.label,
-            [src[i] for i in keep],
-            [dst[i] for i in keep],
-            [ts[i] for i in keep],
-            [exp[i] for i in keep],
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DeltaColumns [{self.label}] x{len(self.src)}>"

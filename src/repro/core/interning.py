@@ -12,8 +12,9 @@ columns), and are decoded back to the original values only at result
 sinks and ``explain`` — never inside the dataflow.
 
 Interning is a bijection, so equality and hashing over ids agree exactly
-with equality and hashing over the original values; golden tests assert
-the decoded results are bit-identical to un-interned execution.
+with equality and hashing over the original values; golden tests hold
+the decoded results to the snapshot oracle of
+:mod:`repro.algebra.reference`, which never interns.
 """
 
 from __future__ import annotations
@@ -59,10 +60,9 @@ class Interner:
     ) -> tuple[list[int], list[int], list[int]]:
         """Bulk intern one ingress run: ``(src_ids, dst_ids, ts)`` columns.
 
-        The vector ingress path interns whole per-slide label groups at
-        once; inlining the id-map access here (one bound-method call per
-        *run* instead of two per edge) is worth ~2 dict ops of Python
-        call overhead per edge on the hot path.  Semantics are identical
+        Inlining the id-map access here (one bound-method call per *run*
+        instead of two per edge) saves ~2 dict ops of Python call
+        overhead per edge against :meth:`intern`.  Semantics are identical
         to calling :meth:`intern` per endpoint in stream order, so id
         assignment order — and therefore every downstream golden —
         is unchanged.
@@ -177,10 +177,10 @@ class Interner:
 def intern_plan(plan, interner: Interner):
     """Rewrite a logical plan's vertex-valued predicate constants to ids.
 
-    Under interned execution, operators evaluate predicates against
-    dense ids, so a predicate like ``src == "alice"`` must compare
-    against ``intern("alice")``.  Labels are untouched (they are not
-    interned — batches are label-constant, so labels flow as themselves).
+    Operators evaluate predicates against dense ids, so a predicate like
+    ``src == "alice"`` must compare against ``intern("alice")``.  Labels
+    are untouched (they are not interned — batches are label-constant, so
+    labels flow as themselves).
     The rewritten plan is what the engine compiles; the original plan
     stays on the query handle for ``explain``.
     """

@@ -14,13 +14,11 @@ the *stateful* work divided between them:
 * derived streams are re-partitioned between operators the way a shuffle
   would, via the exchange operators of :mod:`repro.physical.exchange`.
 
-Vertices are interned dense ints under columnar execution (the only
-execution mode the sharded engine supports), so ownership is a cheap
-modulo.  All ownership functions here are **deterministic across
-processes**: they use only integer arithmetic and Python's
-seed-independent hashing of ints/int-tuples, never string hashing, so an
-inline shard and a multiprocessing worker agree on every routing
-decision.
+Vertices are interned dense ints, so ownership is a cheap modulo.  All
+ownership functions here are **deterministic across processes**: they
+use only integer arithmetic and Python's seed-independent hashing of
+ints/int-tuples, never string hashing, so an inline shard and a
+multiprocessing worker agree on every routing decision.
 """
 
 from __future__ import annotations

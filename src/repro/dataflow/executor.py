@@ -7,16 +7,17 @@ purge or expire — and only then are edges pushed.  Per-slide wall-clock
 times are recorded so the benchmark harness can report the paper's two
 metrics: aggregate throughput (edges/s) and tail (p99) slide latency.
 
-Execution granularity: edges are accumulated per slide by the shared
+Ingress: edges are accumulated per slide by the shared
 :class:`~repro.core.batch.BatchScheduler` (the same driver the DD
-baseline uses) and applied either one tuple at a time
-(``batch_size=None``, the original per-tuple semantics) or as
-:class:`~repro.core.batch.DeltaBatch` groups flushed through the operator
-topology (``batch_size=n``).  Batched and per-tuple execution produce
-identical results because every operator observes the same event order
-as in per-tuple mode: within one slide the batches are split into
-consecutive same-label runs, and batches flow only along *linear* edges
-of the dataflow — at fanout points (one producer feeding several
+baseline uses; ``batch_size`` caps flush sizes).  Vertices are
+dictionary-encoded to dense ids at ingress — every ingress path (bulk
+runs, single pushes and explicit deletions) interns through the same
+:class:`~repro.core.interning.Interner` — and each slide is split into
+consecutive same-label runs, so every operator observes exactly the
+arrival order of the stream.  A run long enough to amortize batch
+overhead flows to its source as parallel scalar columns; shorter runs
+are dispatched per edge.  Batches flow only along *linear* edges of the
+dataflow — at fanout points (one producer feeding several
 subscriptions, e.g. a self-join's two ports or a reconverging diamond)
 delivery degrades to per-event emission in exact per-tuple interleaving
 (see :meth:`repro.dataflow.graph.PhysicalOperator.emit_batch`).
@@ -47,9 +48,9 @@ import time
 from typing import Iterable
 
 from repro.core.batch import BatchScheduler, RunStats, SlideStats
+from repro.core.interning import Interner
 from repro.core.intervals import Interval
-from repro.core.nplib import np, require_numpy
-from repro.core.tuples import SGE, SGT, sgt_from_sge
+from repro.core.tuples import SGE, SGT
 from repro.dataflow.graph import DELETE, INSERT, DataflowGraph, Event
 from repro.errors import StreamOrderError
 
@@ -69,36 +70,15 @@ class Executor:
     slide:
         The slide interval ``beta`` at which the watermark advances.
     batch_size:
-        ``None`` preserves per-tuple execution; a positive integer flushes
-        :class:`~repro.core.batch.DeltaBatch` groups of up to that many
-        edges through the topology, amortizing per-operator-hop call
-        overhead across the batch.
+        ``None`` flushes each slide's runs whole; a positive integer
+        caps every flush at that many edges.
     late_policy:
         What to do with edges behind the current watermark boundary
         (``"allow"``, ``"drop"`` or ``"raise"``; see module docstring).
     interner:
-        When given, the executor runs in *columnar* mode: vertices are
-        dictionary-encoded to dense ids at ingress (every ingress path —
-        bulk runs, single pushes and explicit deletions — interns through
-        the same table), and ``run`` flushes each same-label run as
-        parallel scalar columns instead of per-tuple events
-        (``batch_size`` still caps flush sizes).  Sinks attached to the
-        graph must decode through the same interner; the engine session
-        wires this up.
-    columnar_min_run:
-        Minimum same-label run length that flows as a columnar batch
-        (``None`` keeps the class default, see :attr:`columnar_min_run`).
-    vector:
-        When true (requires ``interner`` and numpy), ingress runs flow
-        as numpy int64 column arrays and — when :attr:`vector_grouped`
-        is left on — each slide's edges are grouped per source label (in
-        first-appearance order) instead of segmented into consecutive
-        same-label runs, which is what lets interleaved multi-label
-        streams form batches long enough to vectorize.  The engine
-        session only enables grouping when its compile-time analysis
-        proves the registered plans are insensitive to cross-label
-        reordering within a slide (see
-        :func:`repro.ql.pipeline.vector_ingress_mode`).
+        The vertex dictionary ingress interns through (a fresh one when
+        omitted).  Sinks attached to the graph must decode through the
+        same interner; the engine session wires this up.
     """
 
     def __init__(
@@ -107,9 +87,7 @@ class Executor:
         slide: int = 1,
         batch_size: int | None = None,
         late_policy: str = "allow",
-        interner=None,
-        columnar_min_run: int | None = None,
-        vector: bool = False,
+        interner: Interner | None = None,
     ):
         if slide <= 0:
             raise ValueError(f"slide must be positive, got {slide}")
@@ -119,28 +97,11 @@ class Executor:
             raise ValueError(
                 f"unknown late policy {late_policy!r}; expected one of {LATE_POLICIES}"
             )
-        if columnar_min_run is not None:
-            if columnar_min_run < 1:
-                raise ValueError(
-                    f"columnar_min_run must be >= 1, got {columnar_min_run}"
-                )
-            self.columnar_min_run = columnar_min_run
-        if vector:
-            require_numpy('Executor(vector=True)')
-            if interner is None:
-                raise ValueError("vector execution requires an interner")
         self.graph = graph
         self.slide = slide
         self.batch_size = batch_size
         self.late_policy = late_policy
-        self.interner = interner
-        self.vector = vector
-        #: Per-slide label grouping (vector mode only); the engine flips
-        #: this off when a registered plan is order-sensitive across
-        #: labels (see the ``vector`` parameter).  Off means vector mode
-        #: falls back to the same-label run segmentation of columnar
-        #: mode — arrays still flow, batches are just shorter.
-        self.vector_grouped = True
+        self.interner = interner if interner is not None else Interner()
         #: Late edges discarded under ``late_policy="drop"``.
         self.late_count = 0
         #: Wall-clock time of the most recent window movement (None
@@ -158,20 +119,12 @@ class Executor:
 
     def run(self, stream: Iterable[SGE]) -> RunStats:
         """Process the whole stream; returns per-slide timing statistics."""
-        if self.vector:
-            apply = self._apply_vector
-        elif self.interner is not None:
-            apply = self._apply_columnar
-        elif self.batch_size is None:
-            apply = self._apply_tuples
-        else:
-            apply = self._apply_batch
         scheduler = BatchScheduler(
             self.slide,
             self.batch_size,
             on_late=None if self.late_policy == "allow" else self._on_late,
         )
-        return scheduler.run(stream, apply)
+        return scheduler.run(stream, self._apply)
 
     # ------------------------------------------------------------------
     # Step-wise API (used by the engine facade and by tests)
@@ -187,9 +140,7 @@ class Executor:
         ):
             return
         self._advance(boundary)
-        if self.interner is not None:
-            edge = self._intern_edge(edge)
-        self.graph.push(edge.label, Event(_now_sgt(edge), INSERT))
+        self.graph.push(edge.label, Event(self._now_sgt(edge), INSERT))
 
     def delete_edge(self, edge: SGE) -> None:
         """Explicitly delete a previously inserted edge (negative tuple).
@@ -198,9 +149,7 @@ class Executor:
         with a negative sign reaches stateful operators with exactly the
         interval the insertion carried.
         """
-        if self.interner is not None:
-            edge = self._intern_edge(edge)
-        self.graph.push(edge.label, Event(_now_sgt(edge), DELETE))
+        self.graph.push(edge.label, Event(self._now_sgt(edge), DELETE))
 
     def advance_to(self, t: int) -> None:
         """Advance the watermark to the slide boundary at or before t."""
@@ -238,44 +187,6 @@ class Executor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _apply_tuples(self, boundary: int, edges: list[SGE]) -> None:
-        """Per-tuple application: one event per edge, in arrival order."""
-        self._advance(boundary)
-        push = self.graph.push
-        for edge in edges:
-            push(edge.label, Event(_now_sgt(edge), INSERT))
-
-    def _apply_batch(self, boundary: int, edges: list[SGE]) -> None:
-        """Batched application: consecutive same-label runs become
-        insert-only :class:`DeltaBatch` groups flushed through the
-        topology.  Splitting on label changes (rather than grouping the
-        whole slide per label) preserves global arrival order, so every
-        operator sees exactly the event order of per-tuple mode.  Edges
-        whose label has no source are discarded *before* segmenting — the
-        query never observes them, so they must not shorten runs (a query
-        over one of many interleaved input labels still gets whole-batch
-        runs).
-        """
-        self._advance(boundary)
-        sources = self.graph.sources
-        if len(sources) == 1:
-            # Single-source fast path (common: one window per plan label
-            # set): no segmentation at all.
-            ((label, source),) = sources.items()
-            kept = [e for e in edges if e.label == label]
-            source.push_sges(boundary, kept)
-            return
-        kept = [e for e in edges if e.label in sources]
-        i = 0
-        n = len(kept)
-        while i < n:
-            label = kept[i].label
-            j = i + 1
-            while j < n and kept[j].label == label:
-                j += 1
-            sources[label].push_sges(boundary, kept[i:j])
-            i = j
-
     #: Minimum same-label run length that flows as a columnar batch.
     #: Shorter runs are dispatched per event (still interned): the fixed
     #: per-batch cost — column/batch construction, capture buffers, one
@@ -286,11 +197,16 @@ class Executor:
     #: forms mix freely within one slide.
     columnar_min_run = 8
 
-    def _apply_columnar(self, boundary: int, edges: list[SGE]) -> None:
-        """Columnar application: same same-label-run segmentation as
-        :meth:`_apply_batch`, but each run is interned at ingress and
-        flushed to its source as parallel scalar columns — no per-edge
-        object of any kind flows into the dataflow.
+    def _apply(self, boundary: int, edges: list[SGE]) -> None:
+        """Apply one flush: split it into consecutive same-label runs,
+        intern each at ingress and hand it to its source as parallel
+        scalar columns (or per edge, below :attr:`columnar_min_run`) —
+        no per-edge object of any kind flows into the dataflow.
+
+        Splitting on label changes (rather than grouping the whole
+        flush per label) preserves global arrival order.  Edges whose
+        label has no source are discarded *before* segmenting — the
+        query never observes them, so they must not shorten runs.
         """
         self._advance(boundary)
         sources = self.graph.sources
@@ -298,14 +214,9 @@ class Executor:
         min_run = self.columnar_min_run
         if len(sources) == 1:
             ((label, source),) = sources.items()
-            src: list[int] = []
-            dst: list[int] = []
-            ts: list[int] = []
-            for e in edges:
-                if e.label == label:
-                    src.append(intern(e.src))
-                    dst.append(intern(e.trg))
-                    ts.append(e.t)
+            src, dst, ts = self.interner.intern_edges(
+                [e for e in edges if e.label == label]
+            )
             if len(src) >= min_run:
                 source.push_columns(boundary, src, dst, ts)
             else:
@@ -338,80 +249,12 @@ class Executor:
                     i += 1
             i = j
 
-    def _apply_vector(self, boundary: int, edges: list[SGE]) -> None:
-        """Vector application: bulk-interned numpy column ingress.
-
-        With :attr:`vector_grouped` on, one slide's edges are grouped by
-        source label — groups ordered by each label's first appearance,
-        rows within a group in arrival order — so interleaved
-        multi-label streams form real batches (consecutive same-label
-        runs are only 2-3 edges long on the benchmark workloads).
-        Cross-label reordering within a slide is the *only* order
-        relaxation of the vector mode; every kernel downstream is
-        exactly order-preserving, and the engine enables grouping only
-        for plans whose results are invariant under it.  With grouping
-        off, segmentation matches :meth:`_apply_columnar` run for run.
-        """
-        self._advance(boundary)
-        sources = self.graph.sources
-        if len(sources) == 1:
-            ((label, source),) = sources.items()
-            self._flush_vector(
-                source, boundary, [e for e in edges if e.label == label]
-            )
-            return
-        if self.vector_grouped:
-            groups: dict = {}
-            for e in edges:
-                run = groups.get(e.label)
-                if run is None:
-                    run = groups[e.label] = (
-                        [] if e.label in sources else False
-                    )
-                if run is not False:
-                    run.append(e)
-            for label, run in groups.items():
-                if run is not False:
-                    self._flush_vector(sources[label], boundary, run)
-            return
-        kept = [e for e in edges if e.label in sources]
-        i = 0
-        n = len(kept)
-        while i < n:
-            label = kept[i].label
-            j = i + 1
-            while j < n and kept[j].label == label:
-                j += 1
-            self._flush_vector(sources[label], boundary, kept[i:j])
-            i = j
-
-    def _flush_vector(self, source, boundary: int, run: list[SGE]) -> None:
-        """Bulk-intern one label run and push it as int64 arrays.
-
-        Runs shorter than :attr:`columnar_min_run` dispatch per event
-        (identical to columnar mode): batch overhead — array
-        construction included — only amortizes across enough rows.
-        """
-        if not run:
-            return
-        interner = self.interner
-        if len(run) >= self.columnar_min_run:
-            src, dst, ts = interner.intern_edges(run)
-            source.push_columns(
-                boundary,
-                np.asarray(src, dtype=np.int64),
-                np.asarray(dst, dtype=np.int64),
-                np.asarray(ts, dtype=np.int64),
-            )
-        else:
-            intern = interner.intern
-            push_scalar = source.push_scalar
-            for e in run:
-                push_scalar(intern(e.src), intern(e.trg), e.t)
-
-    def _intern_edge(self, edge: SGE) -> SGE:
+    def _now_sgt(self, edge: SGE) -> SGT:
+        """The interned sgt of ``edge`` with the minimal single-instant
+        NOW interval ``[t, t+1)``."""
         intern = self.interner.intern
-        return SGE(intern(edge.src), intern(edge.trg), edge.label, edge.t)
+        src = intern(edge.src)
+        return SGT(src, intern(edge.trg), edge.label, Interval(edge.t, edge.t + 1))
 
     def _on_late(self, edge: SGE, boundary: int) -> bool:
         """Apply the drop/raise late policy; True keeps the edge.
@@ -450,7 +293,3 @@ class Executor:
             self._current_boundary += self.slide
             self.graph.push_watermark(self._current_boundary)
 
-
-def _now_sgt(edge: SGE) -> SGT:
-    """Wrap an sge with the minimal single-instant NOW interval."""
-    return sgt_from_sge(edge, Interval(edge.t, edge.t + 1))

@@ -31,8 +31,7 @@ from repro.core.batch import DeltaBatch
 from repro.core.coalesce import coalesce_stream
 from repro.core.columns import ColumnBuilder
 from repro.core.intervals import Interval, net_cover
-from repro.core.nplib import as_list
-from repro.core.tuples import SGE, SGT, EdgePayload, Label, PathPayload, Vertex
+from repro.core.tuples import SGT, EdgePayload, Label, PathPayload, Vertex
 from repro.errors import ExecutionError
 
 INSERT = 1
@@ -192,19 +191,6 @@ class PhysicalOperator:
             for consumer, port in downstream:
                 consumer.on_event(port, event)
 
-    def on_sge_batch(self, port: int, boundary: int, edges: list[SGE]) -> None:
-        """Process one batch of raw input sges from a source.
-
-        The default shim wraps each sge into its minimal ``[t, t+1)`` NOW
-        sgt and processes the result as a :class:`DeltaBatch`; WSCAN
-        overrides this to assign the real window intervals directly from
-        the sges, skipping the intermediate NOW tuples entirely.
-        """
-        sgts = [
-            SGT(e.src, e.trg, e.label, Interval(e.t, e.t + 1)) for e in edges
-        ]
-        self.on_batch(port, DeltaBatch(boundary, sgts))
-
     def on_edge(self, port: int, src, dst, t: int, label: Label) -> None:
         """Process one raw input edge as bare scalars.
 
@@ -232,19 +218,15 @@ class PhysicalOperator:
         The columnar executor interns vertices at ingress and hands each
         same-label run to the sources as three parallel scalar columns.
         WSCAN overrides this with a column-at-a-time windowing pass; the
-        default shim reconstructs sges (carrying interned ids) for any
-        other consumer wired directly to a source.
+        default shim wraps each edge into its minimal ``[t, t+1)`` NOW
+        sgt (carrying interned ids) and processes them as one
+        :class:`DeltaBatch`, for any other consumer wired directly to a
+        source.
         """
-        self.on_sge_batch(
-            port,
-            boundary,
-            [
-                SGE(s, d, label, t)
-                # as_list: vector-mode arrays must materialize to plain
-                # ints before entering row-land (sges are row values).
-                for s, d, t in zip(as_list(src), as_list(dst), as_list(ts))
-            ],
-        )
+        sgts = [
+            SGT(s, d, label, Interval(t, t + 1)) for s, d, t in zip(src, dst, ts)
+        ]
+        self.on_batch(port, DeltaBatch(boundary, sgts))
 
     def on_batch(self, port: int, batch: DeltaBatch) -> None:
         """Process one delta batch; the default is a per-tuple shim.
@@ -381,28 +363,6 @@ class SourceOp(PhysicalOperator):
     def push(self, event: Event) -> None:
         self.emit(event)
 
-    def push_sges(self, boundary: int, edges: list[SGE]) -> None:
-        """Forward one batch of raw input sges (batched executor path).
-
-        Same fanout rule as :meth:`PhysicalOperator.emit_batch`: the
-        whole batch flows only along a linear edge; with several
-        subscribers (e.g. two WSCANs windowing the same label) delivery
-        falls back to per-event pushes in per-tuple interleaving.
-        """
-        if not edges:
-            return
-        downstream = self._downstream
-        if len(downstream) == 1:
-            consumer, port = downstream[0]
-            consumer.on_sge_batch(port, boundary, edges)
-            return
-        if not downstream:
-            return
-        for e in edges:
-            event = Event(SGT(e.src, e.trg, e.label, Interval(e.t, e.t + 1)))
-            for consumer, port in downstream:
-                consumer.on_event(port, event)
-
     def push_scalar(self, src, dst, t: int) -> None:
         """Forward one raw input edge as bare scalars (columnar-executor
         per-edge path for runs too short to batch).  Linear edges reach
@@ -429,12 +389,12 @@ class SourceOp(PhysicalOperator):
     ) -> None:
         """Forward one batch of raw input edges as scalar columns.
 
-        Same fanout rule as :meth:`push_sges`: whole batches flow only
-        along linear edges; with several subscribers delivery falls back
-        to per-event pushes in per-tuple interleaving (the events carry
-        the interned ids the columns hold).
+        Same fanout rule as :meth:`PhysicalOperator.emit_batch`: whole
+        batches flow only along linear edges; with several subscribers
+        delivery falls back to per-event pushes in per-tuple interleaving
+        (the events carry the interned ids the columns hold).
         """
-        if len(src) == 0:
+        if not src:
             return
         downstream = self._downstream
         if len(downstream) == 1:
@@ -444,9 +404,6 @@ class SourceOp(PhysicalOperator):
         if not downstream:
             return
         label = self.label
-        # Fanout materializes rows: plain ints only (vector-mode arrays
-        # are converted in one C call per column).
-        src, dst, ts = as_list(src), as_list(dst), as_list(ts)
         for s, d, t in zip(src, dst, ts):
             event = Event(SGT(s, d, label, Interval(t, t + 1)))
             for consumer, port in downstream:

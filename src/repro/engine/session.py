@@ -55,7 +55,6 @@ import dataclasses
 import math
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -67,7 +66,6 @@ from repro.core.batch import BatchScheduler, RunStats
 from repro.core.coalesce import coalesce_stream
 from repro.core.gcpause import gc_paused
 from repro.core.interning import Interner, intern_plan
-from repro.core.nplib import HAVE_NUMPY
 from repro.core.intervals import Interval
 from repro.core.tuples import SGE, SGT, Label, Vertex
 from repro.dataflow.executor import LATE_POLICIES, Executor
@@ -100,19 +98,6 @@ from repro.query.sgq import SGQ
 #: Engine implementations selectable behind the same handle API.
 BACKENDS = ("sga", "dd")
 
-#: Execution representations for the sga backend.  ``"vector"`` (the
-#: default whenever numpy is importable) carries interned deltas as
-#: numpy int64 column arrays through vectorized operator kernels;
-#: ``"columnar"`` interns vertices to dense ids at ingress and streams
-#: deltas as parallel scalar *list* columns; ``"rows"`` is the
-#: historical object-graph path (per-tuple events, or row batches when
-#: ``batch_size`` is set).  The two non-default modes are kept
-#: selectable as golden references proving all three produce identical
-#: decoded results.  ``"auto"`` — the config default — resolves to
-#: ``"vector"`` when numpy is available and degrades to ``"columnar"``
-#: (with a single warning) when it is not.
-EXECUTIONS = ("vector", "columnar", "rows")
-
 #: Shard transports for ``shards > 1`` (see :mod:`repro.engine.sharded`):
 #: ``"inline"`` is the in-process deterministic scheduler (exact serial
 #: semantics, used by golden tests), ``"process"`` the multiprocessing
@@ -127,31 +112,9 @@ PER_QUERY_OPTIONS = frozenset(
     {"path_impl", "materialize_paths", "coalesce_intermediate"}
 )
 
-#: One degrade warning per process (not one per EngineConfig).
-_warned_vector_degrade = False
-
-
-def _resolve_auto_execution() -> str:
-    """``"vector"`` when numpy is importable, else ``"columnar"``.
-
-    The degrade path warns exactly once per process: engines are
-    constructed freely in tests and benchmarks, and the actionable fact
-    — numpy missing, vector default unavailable — does not change
-    between constructions.
-    """
-    if HAVE_NUMPY:
-        return "vector"
-    global _warned_vector_degrade
-    if not _warned_vector_degrade:
-        _warned_vector_degrade = True
-        warnings.warn(
-            "numpy is not installed: execution='auto' degrades to "
-            "'columnar' (install the optional extra, pip install "
-            '"repro[vector]", for the vectorized default)',
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    return "columnar"
+def _is_int(value: object) -> bool:
+    """True for a real ``int`` (``bool`` is an ``int`` subclass, not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,27 +138,10 @@ class EngineConfig:
         stateful→stateful edges.
     batch_size:
         Edges per scheduler flush; ``None`` = one flush per slide for
-        columnar sga execution (per-tuple for ``execution="rows"``), one
-        whole epoch per slide for dd.
+        sga, one whole epoch per slide for dd.
     late_policy:
         ``"allow"`` / ``"drop"`` / ``"raise"`` for edges behind the
         current slide boundary.
-    execution:
-        ``"auto"`` (the default) resolves at construction time to
-        ``"vector"`` when numpy is importable, else to ``"columnar"``
-        (warning once per process).  ``"vector"`` carries interned
-        deltas as numpy int64 arrays through vectorized kernels and
-        *requires* numpy — an explicit request without it raises.
-        ``"columnar"`` is interned ids + column-at-a-time operators over
-        plain lists; ``"rows"`` the historical object-per-tuple path.
-        All three decode transparently at every read surface.  sga
-        backend only; the dd baseline ignores it.
-    columnar_min_run:
-        Minimum same-label ingress run length that flows as a columnar
-        batch (shorter runs dispatch per event, where batch overhead
-        does not amortize); applies to the columnar and vector
-        executions.  Default 8 (the measured break-even of the batch
-        fixed costs on the benchmark workloads).
     shards:
         Number of partition-parallel shard workers (default 1 = the
         unsharded engine, bit-identical to historical behavior).  With
@@ -203,8 +149,7 @@ class EngineConfig:
         of every registered plan — PATH forests by root vertex, PATTERN
         joins by join key — across that many shards behind the same
         handle API (see :mod:`repro.engine.sharded`).  Requires
-        ``backend="sga"`` and an interned execution (``"columnar"`` or
-        ``"vector"`` — dense interned ids are what shards exchange).
+        ``backend="sga"``.
     shard_transport:
         ``"inline"`` (default): all shards in this process, stepped
         deterministically — exact serial semantics, full live-lifecycle
@@ -231,8 +176,6 @@ class EngineConfig:
     coalesce_intermediate: bool = True
     batch_size: int | None = None
     late_policy: str = "allow"
-    execution: str = "auto"
-    columnar_min_run: int = 8
     shards: int = 1
     shard_transport: str = "inline"
     checkpoint_policy: "CheckpointPolicy | None" = None
@@ -242,31 +185,11 @@ class EngineConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.execution == "auto":
-            # Resolve the numpy-optional default once, at construction:
-            # downstream code only ever sees a concrete execution.
-            object.__setattr__(
-                self, "execution", _resolve_auto_execution()
-            )
-        elif self.execution == "vector" and not HAVE_NUMPY:
-            raise ValueError(
-                "execution='vector' requires numpy, which is not "
-                'installed; install the optional extra (pip install '
-                '"repro[vector]") or use execution="columnar"'
-            )
-        if self.execution not in EXECUTIONS:
-            raise ValueError(
-                f"unknown execution {self.execution!r}; "
-                f"expected one of {EXECUTIONS} (or 'auto')"
-            )
-        if not isinstance(self.columnar_min_run, int) or isinstance(
-            self.columnar_min_run, bool
-        ) or self.columnar_min_run < 1:
-            raise ValueError(
-                f"columnar_min_run must be an int >= 1, "
-                f"got {self.columnar_min_run!r}"
-            )
-        if not isinstance(self.shards, int) or self.shards < 1:
+        for name in ("materialize_paths", "coalesce_intermediate"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        if not _is_int(self.shards) or self.shards < 1:
             raise ValueError(f"shards must be an int >= 1, got {self.shards!r}")
         if self.shard_transport not in SHARD_TRANSPORTS:
             raise ValueError(
@@ -279,20 +202,16 @@ class EngineConfig:
                     "shards > 1 requires backend='sga' (the dd baseline "
                     "is single-threaded by design)"
                 )
-            if self.execution not in ("columnar", "vector"):
-                raise ValueError(
-                    "shards > 1 requires an interned execution "
-                    "('columnar' or 'vector'; shards exchange interned "
-                    "columnar deltas)"
-                )
         if self.path_impl not in PATH_IMPLS:
             raise PlanError(
                 f"unknown PATH implementation {self.path_impl!r}; "
                 f"expected one of {PATH_IMPLS}"
             )
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is not None and (
+            not _is_int(self.batch_size) or self.batch_size < 1
+        ):
             raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
+                f"batch_size must be None or an int >= 1, got {self.batch_size!r}"
             )
         if self.late_policy not in LATE_POLICIES:
             raise ValueError(
@@ -871,19 +790,11 @@ class StreamingGraphEngine:
         self._graph = DataflowGraph()
         self._caches: dict[tuple, dict[Plan, PhysicalOperator]] = {}
         self._executor: Executor | None = None
-        #: vertex dictionary for interned execution (columnar or vector):
-        #: ids flow inside the dataflow, every read surface decodes
-        #: through this table
+        #: vertex dictionary of the sga backend: ids flow inside the
+        #: dataflow, every read surface decodes through this table
         self._interner: Interner | None = (
-            Interner()
-            if config.backend == "sga"
-            and config.execution in ("columnar", "vector")
-            else None
+            Interner() if config.backend == "sga" else None
         )
-        #: taps observe raw intermediate event streams, whose order the
-        #: vector mode's label grouping would change; any tap therefore
-        #: pins ingress to segmented runs (see _refresh_vector_mode)
-        self._has_tap = False
         #: partition-parallel runtime (``shards > 1``); the session
         #: delegates every streaming and lifecycle call to it
         self._sharded: ShardedSgaRuntime | None = (
@@ -1010,12 +921,10 @@ class StreamingGraphEngine:
     def decode(self, ident: int) -> Vertex:
         """The original vertex value behind an interned id.
 
-        Under columnar execution the dataflow carries dense vertex ids;
-        every engine read surface decodes transparently, but code
-        attached *directly* to the shared graph (custom operators or
-        sinks) observes raw ids — this is the sanctioned way to map them
-        back.  Under ``execution="rows"`` no interning happens and the
-        value is returned unchanged.
+        The sga dataflow carries dense vertex ids; every engine read
+        surface decodes transparently, but code attached *directly* to
+        the shared graph (custom operators or sinks) observes raw ids —
+        this is the sanctioned way to map them back.
 
         Raises
         ------
@@ -1023,9 +932,10 @@ class StreamingGraphEngine:
             For an id this engine never interned (negative, out of
             range, or minted by a *different* engine instance — dense
             ids are engine-private).
+        ExecutionError
+            On the dd backend, which interns nothing.
         """
-        if self._interner is None:
-            return ident
+        self._require_sga("decode")
         return self._interner.value(ident)
 
     # ------------------------------------------------------------------
@@ -1085,7 +995,6 @@ class StreamingGraphEngine:
             else:
                 handle = self._register_dd(query, name, on_result, overrides)
             self._handles[name] = handle
-            self._refresh_vector_mode()
             return handle
 
     def unregister(self, name: str) -> None:
@@ -1110,7 +1019,6 @@ class StreamingGraphEngine:
                 removed = self._graph.prune([handle._sink])
                 for cache in self._caches.values():
                     evict_dead(cache, removed)
-            self._refresh_vector_mode()
 
     def _register_sga(
         self,
@@ -1143,17 +1051,15 @@ class StreamingGraphEngine:
             return ShardedQueryHandle(self, name, plan, options)
         cache = self._caches.setdefault(options, {})
         live = self.started
-        # Under interned execution, vertex-valued predicate constants
-        # must compare against ids; the translated plan is compiled (and
-        # keys the shared-subexpression cache), the original stays on the
-        # handle for explain().
-        compiled = intern_plan(plan, interner) if interner is not None else plan
+        # Vertex-valued predicate constants must compare against ids;
+        # the translated plan is compiled (and keys the
+        # shared-subexpression cache), the original stays on the handle
+        # for explain().
+        compiled = intern_plan(plan, interner)
         sink = compile_into(compiled, self._graph, cache, *options)
         sink.interner = interner
         if on_result is not None:
-            if interner is not None:
-                on_result = _decoding_callback(on_result, interner)
-            sink.set_callback(on_result)
+            sink.set_callback(_decoding_callback(on_result, interner))
         root = self._graph.producer_of(sink)
         handle = SgaQueryHandle(self, name, plan, sink, root, options)
         if live:
@@ -1362,25 +1268,19 @@ class StreamingGraphEngine:
         self._require_sga("tap")
         with self._lifecycle_lock:
             if self._sharded is not None:
-                sink = self._sharded.tap(label, self._interner)
-                self._has_tap = True
-                return sink
+                return self._sharded.tap(label, self._interner)
             for op in self._graph.operators:
                 produced = getattr(op, "out_label", None)
                 if produced is None:
                     produced = getattr(op, "label", None)
                 if produced == label and not isinstance(op, SinkOp):
                     sink = SinkOp(name=f"tap[{label}]")
-                    if self._interner is not None:
-                        # Tap events are user-facing raw stream data:
-                        # decode on arrival so ``tap.events`` carries
-                        # real vertices.
-                        sink.interner = self._interner
-                        sink.decode_eagerly = True
+                    # Tap events are user-facing raw stream data: decode
+                    # on arrival so ``tap.events`` carries real vertices.
+                    sink.interner = self._interner
+                    sink.decode_eagerly = True
                     self._graph.add(sink)
                     self._graph.connect(op, sink, 0)
-                    self._has_tap = True
-                    self._refresh_vector_mode()
                     return sink
             raise PlanError(f"no operator produces label {label!r}")
 
@@ -1468,7 +1368,7 @@ class StreamingGraphEngine:
                 handle._callback = on_result
                 return
             callback = on_result
-            if callback is not None and self._interner is not None:
+            if callback is not None:
                 callback = _decoding_callback(callback, self._interner)
             if isinstance(handle, ShardedQueryHandle):
                 self._sharded.set_callback(name, callback)
@@ -1729,8 +1629,9 @@ class StreamingGraphEngine:
         blob-name ``prefix`` — the counterpart of
         :meth:`write_checkpoint` for multi-engine checkpoints."""
         state = reader.get(f"{prefix}engine")
+        fields = _drop_retired_fields(state["config"], reader.checkpoint_id)
         try:
-            stored = EngineConfig(**state["config"])
+            stored = EngineConfig(**fields)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint {reader.checkpoint_id}: stored engine config "
@@ -1895,36 +1796,8 @@ class StreamingGraphEngine:
                 batch_size=self._config.batch_size,
                 late_policy=self._config.late_policy,
                 interner=self._interner,
-                columnar_min_run=self._config.columnar_min_run,
-                vector=self._config.execution == "vector",
             )
-            self._refresh_vector_mode()
         return self._executor
-
-    def _refresh_vector_mode(self) -> None:
-        """Recompute the vector executor's ingress-grouping decision.
-
-        The compile pipeline's analysis
-        (:func:`repro.ql.pipeline.vector_ingress_mode`) proves or
-        refutes that every registered plan is insensitive to
-        within-slide cross-label reordering; the executor groups each
-        slide per label only on proof.  Re-run on every register /
-        unregister / tap, so live lifecycle changes take effect from the
-        next slide on.
-        """
-        executor = self._executor
-        if executor is None or not executor.vector:
-            return
-        from repro.ql.pipeline import vector_ingress_mode
-
-        plans = [
-            (h.plan, h._options)
-            for h in self._handles.values()
-            if isinstance(h, SgaQueryHandle)
-        ]
-        executor.vector_grouped = (
-            not self._has_tap and vector_ingress_mode(plans) == "grouped"
-        )
 
     def _keep_late(self, edge: SGE, boundary: int) -> bool:
         """Apply the engine's late policy to a dd-backend edge.
@@ -1956,14 +1829,46 @@ def _decoding_callback(callback: Callable, interner: Interner) -> Callable:
     return deliver
 
 
+#: Config fields of checkpoints taken while the sga backend still had
+#: several delta representations (see :func:`_drop_retired_fields`).
+_RETIRED_FIELDS = ("execution", "columnar_min_run")
+
+
+def _drop_retired_fields(fields: dict, checkpoint_id: str) -> dict:
+    """A stored config without the retired representation fields.
+
+    ``execution="vector"`` and ``"columnar"`` checkpoints hold interned
+    operator state, exactly what the engine runs today, so both retired
+    fields are dropped and the checkpoint loads.  An sga checkpoint taken
+    under ``execution="rows"`` holds uninterned state, which no operator
+    can load any more: it is refused.  (The dd backend ignored the field.)
+    """
+    if "execution" not in fields:
+        return fields
+    execution = fields["execution"]
+    if execution not in ("vector", "columnar") and fields.get("backend") != "dd":
+        raise CheckpointError(
+            f"checkpoint {checkpoint_id}: stored config field 'execution' "
+            f"is {execution!r}; only checkpoints of interned executions "
+            "('vector' or 'columnar') can be restored"
+        )
+    return {
+        name: value
+        for name, value in fields.items()
+        if name not in _RETIRED_FIELDS
+    }
+
+
 def _check_restore_config(
     stored: EngineConfig, requested: EngineConfig, checkpoint_id: str
 ) -> None:
     """Reject restore-time config drift (only the shard layout may move).
 
     Operator state blobs are exact internal structures — restoring them
-    under a different path implementation, execution mode or coalescing
-    setting would attach state to operators that never produce it.  The
+    under a different path implementation, path materialization or
+    coalescing setting would attach state to operators that never
+    produce it.  Fields retired since the checkpoint was taken are
+    dropped before this check (:func:`_drop_retired_fields`).  The
     shard count/transport is the sanctioned exception: the per-shard
     topologies are isomorphic across counts >= 2, so state re-partitions
     (see :mod:`repro.checkpoint.rebalance`); serial and sharded compiles

@@ -1101,9 +1101,8 @@ class ShardedSgaRuntime:
             # position is the same logical node on every shard.
             producer = shard.graph.operators[index]
             sink = _TapShardSink(f"tap[{label}]", clock)
-            if interner is not None:
-                sink.interner = interner
-                sink.decode_eagerly = True
+            sink.interner = interner
+            sink.decode_eagerly = True
             shard.graph.add(sink)
             if partitioned:
                 shard.graph.connect(producer, sink, 0)
@@ -1605,6 +1604,4 @@ def merged_coverage(events: list[Event], interner) -> dict:
     """Net validity cover per result key over a merged event stream
     (the sharded equivalent of :meth:`SinkOp.coverage` — one shared
     fold, see :func:`~repro.dataflow.graph.events_coverage`)."""
-    return events_coverage(
-        events, interner.decode_key if interner is not None else None
-    )
+    return events_coverage(events, interner.decode_key)

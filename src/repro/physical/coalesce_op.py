@@ -30,7 +30,6 @@ from repro.core.batch import DeltaBatch
 from repro.core.columns import DeltaColumns
 from repro.core.expiry import TimingWheel
 from repro.core.intervals import FOREVER, Interval, cover, subtract_cover
-from repro.core.nplib import as_array
 from repro.core.tuples import Label
 from repro.dataflow.graph import INSERT, Event, PhysicalOperator
 
@@ -165,26 +164,14 @@ class CoalesceOp(PhysicalOperator):
         columnar output batch of the surviving rows.
 
         The covered/duplicate decision is inherently sequential (each
-        event's outcome depends on the ones before it), so vector
-        batches are not mask-selected; instead the arrays are converted
-        to plain ints in one C call per column, and — the vector-mode
-        win — a constant expiry column (the common case: wscan quantizes
-        exp per slide) hoists the timing-wheel bucket lookup out of the
-        loop, one dict op for the whole batch instead of one per row.
+        event's outcome depends on the ones before it).
         """
         label = cols.label
         src, dst, ts_col, exp_col = cols.src, cols.dst, cols.ts, cols.exp
-        const_exp = False
-        was_vector = cols.is_vector()
-        if was_vector:
-            if len(exp_col) and bool((exp_col == exp_col[0]).all()):
-                const_exp = True
-            src, dst, ts_col, exp_col = cols.row_lists()
         cover_map = self._cover
         dropped = self._dropped
         wheel = self._wheel
         fine = wheel.fine
-        bucket0: list | None = None
         out_src: list[int] = []
         out_dst: list[int] = []
         out_ts: list[int] = []
@@ -195,22 +182,11 @@ class CoalesceOp(PhysicalOperator):
             ts = ts_col[i]
             exp = exp_col[i]
             key = (s, d, label)
-            if const_exp:
-                if bucket0 is not None:
-                    bucket0.append(key)
-                else:
-                    bucket0 = fine.get(exp)
-                    if bucket0 is not None:
-                        bucket0.append(key)
-                    else:
-                        wheel.schedule(exp, key)
-                        bucket0 = fine.get(exp)
+            bucket = fine.get(exp)
+            if bucket is not None:
+                bucket.append(key)
             else:
-                bucket = fine.get(exp)
-                if bucket is not None:
-                    bucket.append(key)
-                else:
-                    wheel.schedule(exp, key)
+                wheel.schedule(exp, key)
             existing = cover_map.get(key)
             if existing is None:
                 cover_map[key] = [Interval(ts, exp)]
@@ -227,18 +203,7 @@ class CoalesceOp(PhysicalOperator):
             out_ts.append(ts)
             out_exp.append(exp)
         if out_src:
-            if was_vector:
-                # Stay array-backed downstream (a pattern or path fed by
-                # this coalesce keeps its vector kernel).
-                out = DeltaColumns(
-                    label,
-                    as_array(out_src),
-                    as_array(out_dst),
-                    as_array(out_ts),
-                    as_array(out_exp),
-                )
-            else:
-                out = DeltaColumns(label, out_src, out_dst, out_ts, out_exp)
+            out = DeltaColumns(label, out_src, out_dst, out_ts, out_exp)
             self.emit_batch(DeltaBatch(boundary, columns=out))
 
     def _extend_cover(

@@ -486,11 +486,8 @@ class ColumnarPathIngest:
 
     def _consume_columns(self, cols, signs, label: Label) -> None:
         # PATH expansion is order-sensitive (the expand-only operator
-        # keeps the first derivation), so vector batches are consumed in
-        # the same arrival-order row loop — row_lists() converts
-        # array-backed columns to plain ints up front (one C call per
-        # column; numpy scalars must not enter adjacency/tree keys).
-        src, dst, ts, exp = cols.row_lists()
+        # keeps the first derivation): rows are consumed in arrival order.
+        src, dst, ts, exp = cols.src, cols.dst, cols.ts, cols.exp
         if signs is None:
             insert = self._insert
             for i in range(len(src)):

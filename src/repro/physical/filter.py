@@ -5,9 +5,7 @@ from __future__ import annotations
 from repro.algebra.operators import Predicate
 from repro.core.batch import DeltaBatch
 from repro.core.columns import DeltaColumns
-from repro.core.nplib import np
 from repro.dataflow.graph import Event, PhysicalOperator
-from repro.physical.vkernels import compile_mask
 
 
 class FilterOp(PhysicalOperator):
@@ -21,9 +19,6 @@ class FilterOp(PhysicalOperator):
     def __init__(self, predicate: Predicate):
         super().__init__(f"filter[{predicate}]")
         self.predicate = predicate
-        #: compiled vector-mode mask; ``None`` means the predicate is
-        #: not mask-compilable and array batches take the row loop
-        self._mask_fn = compile_mask(predicate)
 
     def on_event(self, port: int, event: Event) -> None:
         sgt = event.sgt
@@ -53,34 +48,11 @@ class FilterOp(PhysicalOperator):
             self.emit_batch(DeltaBatch(batch.boundary, out_sgts, out_signs))
 
     def _on_columns(self, boundary: int, cols, signs: list[int] | None) -> None:
-        """Columnar filtering: select row indices, copy surviving columns.
-
-        Array-backed batches (vector execution) evaluate the compiled
-        boolean mask instead — one vectorized compare per condition and
-        one fancy-index per surviving column; all-pass batches forward
-        zero-copy.
-        """
+        """Columnar filtering: select row indices, copy surviving columns
+        (all-pass batches forward zero-copy)."""
         evaluate = self.predicate.evaluate
         label = cols.label
-        if cols.is_vector() and self._mask_fn is not None:
-            keep = self._mask_fn(cols.src, cols.dst, label, np)
-            if keep is False:
-                return
-            if keep is True or bool(keep.all()):
-                self.emit_batch(DeltaBatch(boundary, signs=signs, columns=cols))
-            elif bool(keep.any()):
-                out_signs = (
-                    [s for s, k in zip(signs, keep.tolist()) if k]
-                    if signs is not None
-                    else None
-                )
-                self.emit_batch(
-                    DeltaBatch(
-                        boundary, signs=out_signs, columns=cols.taken(keep)
-                    )
-                )
-            return
-        src, dst, ts, exp = cols.row_lists()
+        src, dst, ts, exp = cols.src, cols.dst, cols.ts, cols.exp
         keep = [
             i for i in range(len(src)) if evaluate(src[i], dst[i], label)
         ]

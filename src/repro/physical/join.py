@@ -319,76 +319,6 @@ class _JoinNode(_Node):
         #: drop_right) — None when the operator runs unsharded
         self._shard: tuple | None = None
 
-    def on_rows(
-        self, side: int, rows: "list[tuple[Values, int, int]]"
-    ) -> "list[tuple[Values, int, int]]":
-        """Insert-and-probe a whole run of insertions through this node.
-
-        ``rows`` are ``(values, ts, exp)`` triples in arrival order; the
-        return value is the joined output run, again in exact emission
-        order.  This is the vector-mode join kernel: because a batch
-        enters the pattern through *one* port, per-row
-        insert-then-probe inside a single node call reproduces the
-        per-tuple event order bit for bit, while hoisting the table /
-        wheel lookups out of the call chain and carrying probe matches
-        as bare scalars — no :class:`Interval` (and no ``on_binding``
-        frame) per match.  Only valid for insert-only, unsharded runs
-        (the caller gates on both).
-        """
-        out: list[tuple[Values, int, int]] = []
-        left_side = side == 0
-        if left_side:
-            single = self._left_single
-            key_index = self._left_key
-            own, other = self._tables
-        else:
-            single = self._right_single
-            key_index = self._right_key
-            other, own = self._tables
-        own_table = own._table
-        other_table = other._table
-        wheel = own._expiry
-        fine = wheel.fine
-        schedule = wheel.schedule
-        combine = self._combine
-        append = out.append
-        for values, ts, exp in rows:
-            key = (
-                (values[single],)
-                if single is not None
-                else tuple(values[i] for i in key_index)
-            )
-            # Inlined _HashTable.insert (wheel fast-append idiom included).
-            group = own_table[key]
-            stored = group.get(values)
-            if stored is None:
-                group[values] = stored = []
-            interval = Interval(ts, exp)
-            stored.append(interval)
-            bucket = fine.get(exp)
-            if bucket is not None:
-                bucket.append((stored, interval, key, values))
-            else:
-                schedule(exp, (stored, interval, key, values))
-            other_group = other_table.get(key)
-            if not other_group:
-                continue
-            for other_values, intervals in other_group.items():
-                if left_side:
-                    joined_values = combine(values, other_values)
-                else:
-                    joined_values = combine(other_values, values)
-                for other_interval in intervals:
-                    joined_ts = ts if ts >= other_interval.ts else other_interval.ts
-                    joined_exp = (
-                        exp if exp <= other_interval.exp else other_interval.exp
-                    )
-                    if joined_ts >= joined_exp:
-                        continue
-                    append((joined_values, joined_ts, joined_exp))
-        own._count += len(rows)
-        return out
-
     def on_binding(
         self, side: int, values: Values, interval: Interval, sign: int
     ) -> None:
@@ -506,9 +436,7 @@ class PatternOp(PhysicalOperator):
         self._root = root
         root.parent = _ResultAdapter(self, root.schema, src_var, trg_var, out_label)  # type: ignore[assignment]
         root.parent_side = 0
-        #: set by configure_shard — the batched on_rows kernel is
-        #: per-node and cannot route exchanges, so sharded patterns
-        #: keep the per-binding path
+        #: set by configure_shard; recorded in checkpoints
         self._sharded = False
 
     # ------------------------------------------------------------------
@@ -586,14 +514,11 @@ class PatternOp(PhysicalOperator):
             raise ExecutionError(f"{self.name}: no conjunct on port {port}") from exc
         cols = batch.columns
         if cols is not None:
-            if batch.signs is None and not self._sharded and cols.is_vector():
-                self._on_columns_vector(leaf, batch.boundary, cols)
-                return
             self._begin_batch_cols(self.out_label)
             try:
                 on_row = leaf.on_row
                 signs = batch.signs
-                src, dst, ts, exp = cols.row_lists()
+                src, dst, ts, exp = cols.src, cols.dst, cols.ts, cols.exp
                 if signs is None:
                     for i in range(len(src)):
                         on_row(src[i], dst[i], ts[i], exp[i], INSERT)
@@ -615,54 +540,6 @@ class PatternOp(PhysicalOperator):
                     on_sgt(sgt, sign)
         finally:
             self._end_batch(batch.boundary)
-
-    def _on_columns_vector(self, leaf: _LeafNode, boundary: int, cols) -> None:
-        """Level-wise batched join of one vector (insert-only) batch.
-
-        The batch enters through exactly one leaf, so each node of the
-        left-deep chain above it can consume its whole input run in one
-        :meth:`_JoinNode.on_rows` call: the run is processed in arrival
-        order at every level, which yields output order identical to the
-        per-tuple event path (a node's state is modified only by its own
-        inputs — the other side receives nothing during this batch).
-        Results are captured straight into the operator's output columns
-        without per-match sgts, intervals or adapter frames.
-        """
-        src, dst, ts, exp = cols.row_lists()
-        if leaf.loop:
-            rows = [
-                ((s,), t, e)
-                for s, d, t, e in zip(src, dst, ts, exp)
-                if s == d
-            ]
-        else:
-            rows = [((s, d), t, e) for s, d, t, e in zip(src, dst, ts, exp)]
-        self._begin_batch_cols(self.out_label)
-        try:
-            node = leaf.parent
-            side = leaf.parent_side
-            while rows and isinstance(node, _JoinNode):
-                rows = node.on_rows(side, rows)
-                side = node.parent_side
-                node = node.parent
-            if rows:
-                # node is the _ResultAdapter: project straight into the
-                # capture columns (vector batches are always captured —
-                # _begin_batch_cols above installed the builder).
-                adapter = node
-                src_index = adapter._src_index
-                trg_index = adapter._trg_index
-                capture = self._capture_cols
-                for values, row_ts, row_exp in rows:
-                    capture.append(
-                        values[src_index],
-                        values[trg_index],
-                        row_ts,
-                        row_exp,
-                        INSERT,
-                    )
-        finally:
-            self._end_batch_cols(boundary)
 
     def on_advance(self, t: int) -> None:
         for join in self._joins:

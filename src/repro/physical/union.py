@@ -39,11 +39,7 @@ class UnionOp(PhysicalOperator):
         relabeling applies, otherwise relabel in one tight pass.
 
         A columnar batch relabels by sharing its columns under the new
-        label — zero copies either way.  This covers the vector mode
-        too: label lives outside the arrays (batches are label-constant),
-        so union/relabel over ndarray-backed columns is a column rewrite
-        with no array traffic at all — the int64 columns are shared
-        untouched."""
+        label — zero copies either way."""
         label = self.label
         if label is None:
             self.emit_batch(batch)

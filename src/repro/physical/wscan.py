@@ -13,11 +13,9 @@ from repro.algebra.operators import Predicate
 from repro.core.batch import DeltaBatch
 from repro.core.columns import DeltaColumns
 from repro.core.intervals import Interval
-from repro.core.nplib import np
 from repro.core.tuples import SGT
 from repro.core.windows import SlidingWindow
 from repro.dataflow.graph import Event, PhysicalOperator
-from repro.physical.vkernels import compile_mask
 
 
 class WScanOp(PhysicalOperator):
@@ -39,12 +37,6 @@ class WScanOp(PhysicalOperator):
         self._beta = window.slide
         self._size = window.size
         self._degenerate = window.size < window.slide
-        #: compiled vector-mode prefilter mask (see physical.vkernels);
-        #: ``None`` either means "no prefilter" or "not compilable" —
-        #: the vector kernel falls back to the row loop for the latter
-        self._mask_fn = (
-            compile_mask(prefilter) if prefilter is not None else None
-        )
 
     def on_event(self, port: int, event: Event) -> None:
         sgt = event.sgt
@@ -70,34 +62,6 @@ class WScanOp(PhysicalOperator):
             self.window.interval_for(t)  # raises InvalidIntervalError
         self.emit(Event(SGT(src, dst, label, Interval(t, exp))))
 
-    def on_sge_batch(self, port: int, boundary: int, edges: list) -> None:
-        """Window raw sges directly (batched-executor fast path).
-
-        Skips the intermediate NOW-sgt stage entirely: the validity
-        interval is computed straight from the sge timestamp (Definition
-        16, ``exp = floor(t / beta) * beta + T``, inlined) and exactly one
-        sgt is allocated per edge.
-        """
-        window = self.window
-        beta = window.slide
-        size = window.size
-        prefilter = self.prefilter
-        out: list[SGT] = []
-        append = out.append
-        for e in edges:
-            if prefilter is not None and not prefilter.evaluate(
-                e.src, e.trg, e.label
-            ):
-                continue
-            t = e.t
-            exp = t - t % beta + size
-            if exp <= t:
-                # Same degenerate-configuration guard as interval_for.
-                window.interval_for(t)  # raises InvalidIntervalError
-            append(SGT(e.src, e.trg, e.label, Interval(t, exp)))
-        if out:
-            self.emit_batch(DeltaBatch(boundary, out))
-
     def on_edge_columns(
         self,
         port: int,
@@ -110,18 +74,11 @@ class WScanOp(PhysicalOperator):
         """Column-at-a-time windowing (the columnar-executor fast path).
 
         One pass computes the expiry column straight from the timestamp
-        column (Definition 16 inlined, as in :meth:`on_sge_batch`); no
-        per-tuple object of any kind is allocated.  The input columns are
-        adopted wholesale when no prefilter applies — the executor hands
-        over ownership of freshly built lists.
+        column (Definition 16, ``exp = floor(t / beta) * beta + T``,
+        inlined); no per-tuple object of any kind is allocated.  The
+        input columns are adopted wholesale when no prefilter applies —
+        the executor hands over ownership of freshly built lists.
         """
-        if np is not None and type(ts) is np.ndarray:
-            if self.prefilter is None or self._mask_fn is not None:
-                self._on_columns_vector(boundary, label, src, dst, ts)
-                return
-            # Non-compilable prefilter: fall back to the row loop below
-            # on plain ints (numpy scalars must not reach row-land).
-            src, dst, ts = src.tolist(), dst.tolist(), ts.tolist()
         window = self.window
         beta = window.slide
         size = window.size
@@ -170,78 +127,3 @@ class WScanOp(PhysicalOperator):
                     ),
                 )
             )
-
-    def _on_columns_vector(self, boundary, label, src, dst, ts) -> None:
-        """Whole-column windowing over int64 arrays (vector execution).
-
-        Definition 16 becomes three array ops (``exp = t - t % beta +
-        size``); the prefilter — when present — is the compiled boolean
-        mask, so selection is one fancy-index per column.  Rows stay as
-        arrays end to end: the emitted batch carries ndarray-backed
-        :class:`DeltaColumns` downstream.
-        """
-        exp = ts - ts % self._beta + self._size
-        if self._degenerate:
-            bad = exp <= ts
-            if bad.any():
-                # Same degenerate-configuration guard as interval_for,
-                # raised for the first offending timestamp.
-                self.window.interval_for(int(ts[int(bad.argmax())]))
-        if self.prefilter is not None:
-            keep = self._mask_fn(src, dst, label, np)
-            if keep is False:
-                return
-            if keep is not True:
-                src = src[keep]
-                dst = dst[keep]
-                ts = ts[keep]
-                exp = exp[keep]
-        if len(src):
-            self.emit_batch(
-                DeltaBatch(
-                    boundary,
-                    columns=DeltaColumns(self.label, src, dst, ts, exp),
-                )
-            )
-
-    def on_batch(self, port: int, batch: DeltaBatch) -> None:
-        """Bulk windowing: one tight pass, one downstream flush.
-
-        The window mapping is per-tuple (Definition 16 keys the interval
-        on the edge's own timestamp), so the batch win is amortized
-        dispatch: no Event wrappers, prefilter branch hoisted out of the
-        loop, and a single ``emit_batch`` instead of one ``emit`` per
-        tuple.
-        """
-        interval_for = self.window.interval_for
-        prefilter = self.prefilter
-        signs = batch.signs
-        if signs is None:
-            if prefilter is None:
-                out = [
-                    SGT(s.src, s.trg, s.label, interval_for(s.interval.ts))
-                    for s in batch.sgts
-                ]
-            else:
-                evaluate = prefilter.evaluate
-                out = [
-                    SGT(s.src, s.trg, s.label, interval_for(s.interval.ts))
-                    for s in batch.sgts
-                    if evaluate(s.src, s.trg, s.label)
-                ]
-            if out:
-                self.emit_batch(DeltaBatch(batch.boundary, out))
-            return
-        out_sgts: list[SGT] = []
-        out_signs: list[int] = []
-        for sgt, sign in zip(batch.sgts, signs):
-            if prefilter is not None and not prefilter.evaluate(
-                sgt.src, sgt.trg, sgt.label
-            ):
-                continue
-            out_sgts.append(
-                SGT(sgt.src, sgt.trg, sgt.label, interval_for(sgt.interval.ts))
-            )
-            out_signs.append(sign)
-        if out_sgts:
-            self.emit_batch(DeltaBatch(batch.boundary, out_sgts, out_signs))

@@ -38,7 +38,6 @@ from repro.algebra.operators import (
     WScan,
 )
 from repro.algebra.translate import sgq_to_sga
-from repro.core.nplib import HAVE_NUMPY
 from repro.core.windows import SlidingWindow
 from repro.errors import PlanError
 from repro.physical.planner import PhysicalPlan, compile_plan, fuse_relabels
@@ -242,87 +241,12 @@ def physical_plan(query: Query) -> PhysicalPlan:
 
 
 # ----------------------------------------------------------------------
-# Kernel selection (the vector-mode specialization pass)
+# Kernel selection
 # ----------------------------------------------------------------------
-def resolve_execution(execution: str = "auto") -> str:
-    """Resolve ``"auto"`` the same way :class:`EngineConfig` does."""
-    if execution == "auto":
-        return "vector" if HAVE_NUMPY else "columnar"
-    return execution
-
-
-def plan_source_labels(plan: Plan) -> set:
-    """The WSCAN input labels a plan subtree (transitively) consumes."""
-    labels: set = set()
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, WScan):
-            labels.add(node.label)
-        else:
-            stack.extend(node.children())
-    return labels
-
-
-def _path_nodes(plan: Plan) -> list[Path]:
-    found: list[Path] = []
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Path):
-            found.append(node)
-        stack.extend(node.children())
-    return found
-
-
-def vector_ingress_mode(plans) -> str:
-    """``"grouped"`` or ``"segmented"`` — the vector ingress decision.
-
-    Grouping one slide's edges per source label is the vector mode's
-    only order relaxation: every kernel downstream preserves arrival
-    order exactly, so grouping is observable only through *within-slide
-    cross-label* reordering.  Joins and coalesced covers are invariant
-    under it — a join result exists iff both sides' intervals overlap,
-    independent of arrival interleaving within a slide, and net validity
-    coverage is an order-free set.  PATH is the one operator that is
-    *not*: its first-derivation semantics record the interval of
-    whichever derivation arrives first, so reordering ``a`` edges before
-    ``b`` edges within a slide can legally exchange which representative
-    interval a reachability result carries (the cover is unchanged, the
-    exact sgt is not).  Vector mode promises bit-identical output to the
-    columnar reference, so the analysis is conservative:
-
-    * a PATH whose subtree consumes **≤ 1 source label** never observes
-      cross-label reordering — always safe to group;
-    * any PATH over a multi-label subtree forces ``"segmented"``
-      ingress, which reproduces columnar-mode event order (and
-      therefore first-derivation intervals) bit for bit.
-
-    ``plans`` is an iterable of plans or ``(plan, options)`` pairs (the
-    compile options do not affect the decision; the pair form is what
-    the engine holds per registered query).
-    """
-    for entry in plans:
-        plan = entry[0] if isinstance(entry, tuple) else entry
-        for path_node in _path_nodes(plan):
-            subtree_labels: set = set()
-            for _, child in path_node.inputs:
-                subtree_labels |= plan_source_labels(child)
-            if len(subtree_labels) > 1:
-                return "segmented"
-    return "grouped"
-
-
-def kernel_choices(
-    physical: PhysicalPlan, execution: str = "auto"
-) -> dict[int, str]:
+def kernel_choices(physical: PhysicalPlan) -> dict[int, str]:
     """The kernel the executor will run per physical operator.
 
-    Maps ``id(op)`` → a kernel tag, reflecting the *actual* runtime
-    dispatch of each operator under ``execution`` — specialized forms
-    (mask-compiled filters, single-key batched joins) are detected from
-    the compiled operator instances, the same attributes the kernels
-    branch on at run time.  Consumed by :func:`explain` (level
+    Maps ``id(op)`` → a kernel tag.  Consumed by :func:`explain` (level
     ``"kernels"``) and usable directly for plan inspection in tests.
     """
     from repro.physical.coalesce_op import CoalesceOp
@@ -333,47 +257,21 @@ def kernel_choices(
     from repro.physical.union import UnionOp
     from repro.physical.wscan import WScanOp
 
-    execution = resolve_execution(execution)
-    vector = execution == "vector"
+    tags = (
+        (WScanOp, "wscan.columnar"),
+        (FilterOp, "filter.columnar"),
+        (PatternOp, "join.columnar"),
+        (UnionOp, "union.zero-copy"),
+        (CoalesceOp, "coalesce.columnar"),
+        # PATH expansion is order-sensitive: an arrival-order row loop.
+        ((SPathOp, NegativeTupleRpqOp), "path.row-ingest"),
+    )
     choices: dict[int, str] = {}
     for op in physical.graph.operators:
-        if isinstance(op, WScanOp):
-            if not vector:
-                tag = f"wscan.{execution}"
-            elif op.prefilter is None:
-                tag = "wscan.vector"
-            elif op._mask_fn is not None:
-                tag = "wscan.vector+mask-prefilter"
-            else:
-                tag = "wscan.vector+row-prefilter"
-        elif isinstance(op, FilterOp):
-            if vector and op._mask_fn is not None:
-                tag = "filter.mask"
-            else:
-                tag = f"filter.{execution}"
-        elif isinstance(op, PatternOp):
-            if not vector:
-                tag = f"join.{execution}"
-            elif not op._joins:
-                tag = "join.single-conjunct-batch"
-            elif all(
-                j._left_single is not None and j._right_single is not None
-                for j in op._joins
-            ):
-                tag = "join.single-key-batch"
-            else:
-                tag = "join.multi-key-batch"
-        elif isinstance(op, UnionOp):
-            tag = "union.rows" if execution == "rows" else "union.zero-copy"
-        elif isinstance(op, CoalesceOp):
-            tag = f"coalesce.{execution}" if not vector else "coalesce.batch"
-        elif isinstance(op, (SPathOp, NegativeTupleRpqOp)):
-            # PATH expansion is order-sensitive: every mode runs the
-            # same arrival-order row loop over the same state.
-            tag = "path.row-ingest"
-        else:
-            continue
-        choices[id(op)] = tag
+        for kind, tag in tags:
+            if isinstance(op, kind):
+                choices[id(op)] = tag
+                break
     return choices
 
 
@@ -421,25 +319,10 @@ def explain_physical(
     return "\n".join(lines)
 
 
-def explain_kernels(
-    physical: PhysicalPlan,
-    plans,
-    execution: str = "auto",
-) -> str:
-    """The kernels-level rendering: ingress decision + annotated tree."""
-    execution = resolve_execution(execution)
-    if execution == "vector":
-        mode = vector_ingress_mode(plans)
-        detail = (
-            "per-slide label groups"
-            if mode == "grouped"
-            else "same-label runs (order-strict plan)"
-        )
-        header = f"execution: vector · ingress: {mode} ({detail})"
-    else:
-        header = f"execution: {execution}"
-    tree = explain_physical(physical, kernel_choices(physical, execution))
-    return f"{header}\n{tree}"
+def explain_kernels(physical: PhysicalPlan) -> str:
+    """The kernels-level rendering: ingress header + annotated tree."""
+    tree = explain_physical(physical, kernel_choices(physical))
+    return f"ingress: interned same-label runs\n{tree}"
 
 
 def explain_plan_stage(
@@ -456,9 +339,7 @@ def explain_plan_stage(
     if level == "physical":
         return explain_physical(compile_plan(plan, *options))
     if level == "kernels":
-        return explain_kernels(
-            compile_plan(plan, *options), [(plan, options)]
-        )
+        return explain_kernels(compile_plan(plan, *options))
     raise PlanError(
         f"unknown explain level {level!r}; expected one of "
         f"{EXPLAIN_LEVELS[1:]}"

@@ -52,6 +52,10 @@ class CompileOptions:
                     f"unknown PATH implementation {self.path_impl!r}; "
                     f"expected one of {PATH_IMPLS}"
                 )
+        for name in ("materialize_paths", "coalesce_intermediate"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not bool:
+                raise PlanError(f"{name} must be a bool, got {value!r}")
 
     def overrides(self) -> dict[str, object]:
         """The explicitly-set fields, as ``register(**overrides)`` kwargs."""

@@ -128,6 +128,13 @@ def parse_register(body: object) -> RegisterSpec:
             f"unknown compile option(s) {sorted(unknown)}; "
             f"per-query options are {list(QUERY_OPTIONS)}"
         )
+    for key, value in options.items():
+        expected = str if key == "path_impl" else bool
+        if type(value) is not expected:
+            raise ProtocolError(
+                f"option {key!r} must be a "
+                f"{'string' if expected is str else 'boolean'}, got {value!r}"
+            )
     name = body.get("name")
     if name is not None and not isinstance(name, str):
         raise ProtocolError("field 'name' must be a string")

@@ -10,6 +10,11 @@ re-layout must be refused with a typed error before any state is
 attached.
 """
 
+import hashlib
+import json
+import pickle
+import shutil
+
 import pytest
 
 from repro.bench.experiments import Scale, _stream
@@ -18,6 +23,7 @@ from repro.core.windows import HOUR
 from repro.engine.session import EngineConfig, StreamingGraphEngine
 from repro.errors import CheckpointError
 from repro.workloads import QUERIES, labels_for
+from tests.checkpoint.test_restore_fixture import FIXTURE
 
 SCALE = Scale(n_edges=120, n_vertices=30, window=6 * HOUR, slide=HOUR)
 
@@ -52,16 +58,15 @@ class TestConfigDrift:
         ):
             StreamingGraphEngine.restore(store, path_impl="negative")
 
-    def test_execution_drift_rejected(self, stream, tmp_path):
+    def test_coalesce_drift_rejected(self, stream, tmp_path):
         store = DirectoryCheckpointStore(str(tmp_path))
-        _checkpoint_after(
-            stream, 60, store, EngineConfig(backend="sga", execution="rows")
-        )
+        _checkpoint_after(stream, 60, store)
         with pytest.raises(
-            CheckpointError, match=r"field\(s\) \['execution'\]"
+            CheckpointError, match=r"field\(s\) \['coalesce_intermediate'\]"
         ):
             StreamingGraphEngine.restore(
-                store, config=EngineConfig(backend="sga", execution="columnar")
+                store,
+                config=EngineConfig(backend="sga", coalesce_intermediate=False),
             )
 
     def test_serial_to_sharded_rejected(self, stream, tmp_path):
@@ -78,7 +83,7 @@ class TestConfigDrift:
             stream,
             60,
             store,
-            EngineConfig(backend="sga", shards=2, execution="columnar"),
+            EngineConfig(backend="sga", shards=2),
         )
         with pytest.raises(
             CheckpointError, match="requires both shard counts >= 2"
@@ -88,12 +93,48 @@ class TestConfigDrift:
     def test_stored_config_is_the_default(self, stream, tmp_path):
         """Restore with no config inherits the checkpoint's own config."""
         store = DirectoryCheckpointStore(str(tmp_path))
-        _checkpoint_after(
-            stream, 60, store, EngineConfig(backend="sga", execution="rows")
-        )
+        config = EngineConfig(backend="sga", batch_size=16, late_policy="drop")
+        _checkpoint_after(stream, 60, store, config)
         restored = StreamingGraphEngine.restore(store)
-        assert restored.config.execution == "rows"
+        assert restored.config == config
         restored.close()
+
+
+def _fixture_with_execution(tmp_path, execution):
+    """A copy of the committed pre-change checkpoint whose stored config
+    says ``execution=execution`` (manifest digest updated to match)."""
+    root = tmp_path / "store"
+    shutil.copytree(FIXTURE / "store", root)
+    ckpt = root / "ckpt-000001"
+    state = pickle.loads((ckpt / "engine.pkl").read_bytes())
+    assert state["config"]["execution"] == "vector"
+    state["config"]["execution"] = execution
+    data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    (ckpt / "engine.pkl").write_bytes(data)
+    manifest = json.loads((ckpt / "MANIFEST.json").read_text())
+    manifest["blobs"]["engine"] = {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "size": len(data),
+    }
+    (ckpt / "MANIFEST.json").write_text(json.dumps(manifest))
+    return DirectoryCheckpointStore(str(root))
+
+
+class TestRetiredConfigFields:
+    """Checkpoints taken while ``EngineConfig`` still had ``execution``
+    and ``columnar_min_run``."""
+
+    def test_columnar_checkpoint_restores(self, tmp_path):
+        store = _fixture_with_execution(tmp_path, "columnar")
+        restored = StreamingGraphEngine.restore(store)
+        assert restored.query_names == ("Q1", "Q2")
+        assert not hasattr(restored.config, "execution")
+        restored.close()
+
+    def test_rows_checkpoint_refused(self, tmp_path):
+        store = _fixture_with_execution(tmp_path, "rows")
+        with pytest.raises(CheckpointError, match="'execution'"):
+            StreamingGraphEngine.restore(store)
 
 
 class TestUnregisterInteraction:

@@ -18,18 +18,11 @@ import json
 import pathlib
 import shutil
 
-import pytest
-
 from repro.checkpoint import DirectoryCheckpointStore
-from repro.core.nplib import HAVE_NUMPY
 from repro.core.tuples import SGE
 from repro.core.windows import SlidingWindow
 from repro.engine.session import EngineConfig, StreamingGraphEngine
 from repro.workloads import QUERIES, labels_for
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the fixture was written under execution='vector'"
-)
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "arrays_layout_v1"
 QUERY_NAMES = ("Q1", "Q2")

@@ -13,16 +13,14 @@ the stream suffix, and compare against an engine that never stopped.
   dependent), which is the same contract the live sharding suite pins.
 
 Both runs ingest the stream as two ``push_many`` calls split at the
-same cut so batch-sensitive execution modes (vector grouping) see
-identical ingress on both sides — the *only* difference between the
-runs is the snapshot/restore cycle itself.
+same cut so both sides see identical ingress — the *only* difference
+between the runs is the snapshot/restore cycle itself.
 """
 
 import pytest
 
 from repro.bench.experiments import Scale, _stream
 from repro.checkpoint import DirectoryCheckpointStore
-from repro.core.nplib import HAVE_NUMPY
 from repro.core.windows import HOUR
 from repro.engine.session import EngineConfig, StreamingGraphEngine
 from repro.workloads import QUERIES, labels_for
@@ -105,27 +103,13 @@ class TestRestoreBitParity:
         assert got_events == ref_events
         assert got == ref
 
-    @pytest.mark.parametrize(
-        "execution",
-        [
-            "rows",
-            "columnar",
-            pytest.param(
-                "vector",
-                marks=pytest.mark.skipif(
-                    not HAVE_NUMPY, reason="numpy not installed"
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("batch_size", [1, 7])
     @pytest.mark.parametrize("query_name", ["Q1", "Q5"])
-    def test_every_execution_mode(
-        self, streams, tmp_path, execution, query_name
-    ):
+    def test_capped_flushes(self, streams, tmp_path, batch_size, query_name):
         stream = streams["snb"]
         cut = len(stream) // 2
         plan = _plan(query_name, "snb")
-        config = EngineConfig(execution=execution)
+        config = EngineConfig(batch_size=batch_size)
         ref_events, ref = _uninterrupted(config, plan, stream, cut)
         got_events, got = _with_restore(config, plan, stream, cut, tmp_path)
         assert got_events == ref_events

@@ -26,7 +26,6 @@ class SessionHarness:
             "coalesce_intermediate",
             "batch_size",
             "late_policy",
-            "execution",
             "shards",
             "shard_transport",
         }
@@ -118,6 +117,18 @@ def streams_by_label(edges: list[SGE]) -> dict[str, list[SGE]]:
     for edge in edges:
         out.setdefault(edge.label, []).append(edge)
     return out
+
+
+def oracle_at(plan, edges: list[SGE], t: int) -> set:
+    """The snapshot-reducibility answer of ``plan`` over ``edges`` at
+    ``t``, keyed like ``valid_at``."""
+    from repro.algebra.reference import evaluate_plan_at
+
+    label = plan.out_label
+    return {
+        (u, v, label)
+        for u, v in evaluate_plan_at(plan, streams_by_label(edges), t)
+    }
 
 
 @pytest.fixture

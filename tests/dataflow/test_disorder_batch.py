@@ -55,6 +55,9 @@ def _build(slide=10, batch_size=None, late_policy="allow"):
     executor = Executor(
         graph, slide, batch_size=batch_size, late_policy=late_policy
     )
+    # Ingress interns vertices; decode on arrival to assert on values.
+    sink.interner = executor.interner
+    sink.decode_eagerly = True
     return executor, recorder, sink
 
 

@@ -16,7 +16,6 @@ from collections import Counter
 import pytest
 
 from repro.checkpoint import DirectoryCheckpointStore
-from repro.core.nplib import HAVE_NUMPY
 from repro.core.tuples import SGE
 from repro.core.windows import SlidingWindow
 from repro.engine.session import EngineConfig, StreamingGraphEngine
@@ -109,15 +108,11 @@ def _unregister_midstream(probe):
     return engine
 
 
-vector = pytest.param(
-    "vector",
-    marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy installed"),
-)
 CASES = {
     **{
         f"{impl}-materialize={mat}": (
             lambda probe, tmp, impl=impl, mat=mat: _feed(
-                probe, path_impl=impl, materialize_paths=mat, execution="rows"
+                probe, path_impl=impl, materialize_paths=mat
             )
         )
         for impl in ("spath", "negative")
@@ -163,10 +158,3 @@ def _assert_no_cyclic_garbage(run):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_no_cyclic_garbage(case, tmp_path):
     _assert_no_cyclic_garbage(lambda probe: CASES[case](probe, tmp_path))
-
-
-@pytest.mark.parametrize("execution", ["rows", "columnar", vector])
-def test_no_cyclic_garbage_per_execution(execution):
-    _assert_no_cyclic_garbage(
-        lambda probe: _feed(probe, execution=execution)
-    )

@@ -34,7 +34,6 @@ def sgq(text=REACH, window=None):
 def _configs():
     return [
         EngineConfig(),
-        EngineConfig(execution="rows"),
         EngineConfig(backend="dd"),
         EngineConfig(shards=2),
     ]
@@ -42,7 +41,7 @@ def _configs():
 
 class TestValidAtContract:
     @pytest.mark.parametrize("config", _configs(), ids=lambda c: (
-        f"{c.backend}-{c.execution}-s{c.shards}"
+        f"{c.backend}-s{c.shards}"
     ))
     def test_contract_uniform_across_backends(self, config):
         engine = StreamingGraphEngine(config)
@@ -155,6 +154,7 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="bogus"):
             interner.decode_sgt(SGT(0, "bogus", "Answer", Interval(0, 1)))
 
-    def test_rows_execution_decode_is_identity(self):
-        engine = StreamingGraphEngine(EngineConfig(execution="rows"))
-        assert engine.decode(12345) == 12345
+    def test_dd_backend_decode_raises(self):
+        engine = StreamingGraphEngine(EngineConfig(backend="dd"))
+        with pytest.raises(ExecutionError, match="sga backend"):
+            engine.decode(0)

@@ -317,7 +317,7 @@ class TestDecode:
         from repro.core.windows import SlidingWindow
         from repro.query.sgq import SGQ
 
-        engine = StreamingGraphEngine()  # columnar default: interning on
+        engine = StreamingGraphEngine()  # the sga backend interns
         engine.register(
             SGQ.from_text(
                 "Answer(x, y) <- knows(x, y).", SlidingWindow(10)
@@ -327,7 +327,3 @@ class TestDecode:
         engine.push(SGE(("P", 1), ("P", 2), "knows", 0))
         assert engine.decode(0) == ("P", 1)
         assert engine.decode(1) == ("P", 2)
-
-    def test_decode_is_identity_under_rows_execution(self):
-        engine = StreamingGraphEngine(EngineConfig(execution="rows"))
-        assert engine.decode(("P", 1)) == ("P", 1)

@@ -48,7 +48,7 @@ def _reference(edges, **config):
 class TestLifecycleChurn:
     @pytest.mark.parametrize(
         "config",
-        [{}, {"shards": 2, "execution": "columnar"}],
+        [{}, {"shards": 2}],
         ids=["serial", "sharded-inline"],
     )
     def test_churn_does_not_perturb_survivor(self, config):
@@ -129,7 +129,7 @@ class TestLifecycleChurn:
 
 class TestCloseSemantics:
     def test_close_is_idempotent_everywhere(self):
-        for config in ({}, {"shards": 2, "execution": "columnar"}):
+        for config in ({}, {"shards": 2}):
             engine = StreamingGraphEngine(EngineConfig(**config))
             engine.register(_paper_query(), name="q")
             engine.close()

@@ -35,14 +35,11 @@ def streams():
     return {ds: _stream(ds, SCALE) for ds in ("so", "snb")}
 
 
-def _run(
-    plan, stream, shards, transport="inline", path_impl="spath", execution="auto"
-):
+def _run(plan, stream, shards, transport="inline", path_impl="spath"):
     engine = StreamingGraphEngine(
         EngineConfig(
             path_impl=path_impl,
             materialize_paths=False,
-            execution=execution,
             shards=shards,
             shard_transport=transport,
         )
@@ -88,19 +85,14 @@ class TestShardedGolden:
         set/cover/valid_at surfaces (asserted above for all seven
         queries) are insensitive to.
 
-        Both runs pin ``execution="columnar"``: the multiset claim is a
-        property of the sharding layer under a *fixed* ingress order,
-        and the sharded runtime exchanges events in columnar arrival
-        order.  Vector mode's grouped ingress intentionally relaxes
-        within-slide raw-event order (per-label grouping), which shifts
-        coalesce duplicate-drop decisions — the set/cover/valid_at
-        surfaces asserted for all seven queries are unaffected.
+        The multiset claim is a property of the sharding layer under a
+        *fixed* ingress order: both engines ingest in arrival order.
         """
         stream = streams[dataset]
         window = SCALE.sliding_window()
         plan = QUERIES[query_name].plan(labels_for(query_name, dataset), window)
-        serial, _ = _run(plan, stream, shards=1, execution="columnar")
-        sharded, _ = _run(plan, stream, shards=4, execution="columnar")
+        serial, _ = _run(plan, stream, shards=1)
+        sharded, _ = _run(plan, stream, shards=4)
         assert sharded.result_count() == serial.result_count()
         assert sharded.stats().retractions == serial.stats().retractions
 

@@ -1,8 +1,8 @@
-"""Live query lifecycle × columnar execution × sharded execution.
+"""Live query lifecycle × serial and sharded execution.
 
 The regression the satellite sweep pins: ``unregister`` followed by
 re-``register`` of the same query *mid-stream* — under the default
-columnar execution and under ``shards > 1`` (inline transport) — leaves
+serial engine and under ``shards > 1`` (inline transport) — leaves
 both the surviving query and the re-registered handle bit-identical to a
 fresh engine fed the corresponding stream suffix.
 """
@@ -42,11 +42,11 @@ def _signature(handle):
 @pytest.mark.parametrize(
     "config",
     [
-        EngineConfig(execution="columnar"),
+        EngineConfig(),
         EngineConfig(shards=2),
         EngineConfig(shards=3),
     ],
-    ids=["columnar", "shards2", "shards3"],
+    ids=["serial", "shards2", "shards3"],
 )
 class TestUnregisterReregisterMidStream:
     def test_survivor_and_revived_match_fresh_engines(self, config):
@@ -104,8 +104,8 @@ class TestUnregisterReregisterMidStream:
 
 @pytest.mark.parametrize(
     "config",
-    [EngineConfig(execution="columnar"), EngineConfig(shards=2)],
-    ids=["columnar", "shards2"],
+    [EngineConfig(), EngineConfig(shards=2)],
+    ids=["serial", "shards2"],
 )
 class TestFullPlanReShareBackfill:
     def test_late_twin_backfills_results(self, config):

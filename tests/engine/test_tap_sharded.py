@@ -22,7 +22,7 @@ LABELS = ("likes", "follows", "posts")
 
 def _engine(shards: int) -> StreamingGraphEngine:
     engine = StreamingGraphEngine(
-        EngineConfig(shards=shards, execution="columnar")
+        EngineConfig(shards=shards)
     )
     engine.register(
         Query.datalog(PAPER_QUERY, window=24, slide=1), name="paper"

@@ -1,9 +1,9 @@
-"""Golden equivalence: batched execution must match per-tuple execution.
+"""Golden equivalence: every flush size must match whole-slide flushes.
 
 For each example query shipped in ``examples/``, running the stream
-through the batched executor (any batch size) must produce the identical
-result-sgt multiset — payloads and intervals included — as per-tuple
-execution.  Batches preserve arrival order exactly (whole-slide
+through the executor with any ``batch_size`` must produce the identical
+result-sgt multiset — payloads and intervals included — as one flush
+per slide (``batch_size=None``).  Batches preserve arrival order exactly (whole-slide
 accumulation, consecutive same-label runs), so every operator observes
 the same event sequence; these tests pin that contract end to end.
 """
@@ -87,10 +87,10 @@ def _assert_equivalent(make_processor, stream):
         processor.run(stream)
         signature = _signature(processor)
         if reference is None:
-            reference = signature  # per-tuple execution
+            reference = signature  # one flush per slide
         else:
             assert signature == reference, (
-                f"batch_size={batch_size} diverged from per-tuple execution"
+                f"batch_size={batch_size} diverged from whole-slide flushes"
             )
 
 

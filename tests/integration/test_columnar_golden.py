@@ -1,17 +1,13 @@
-"""Golden equivalence: interned/columnar + timing-wheel execution must be
-bit-identical — as decoded result sets per epoch — to the row-wise path.
+"""Golden correctness: the engine's answers against the snapshot oracle.
 
-``execution="rows"`` preserves the historical object-per-tuple pipeline
-(per-tuple events, heap-era semantics), so running every Table 1 query
-on both executions over the same stream and comparing
-
-* the coalesced decoded result set,
-* the net validity coverage, and
-* the ``valid_at`` snapshot at every epoch's final instant
-
-pins the whole interning/columnar/wheel machinery to the reference
-semantics.  The dd backend is additionally held to the sga answers at
-the final epoch (the cross-backend golden the engine API guarantees).
+Every Table 1 query runs on both benchmark streams, and at every epoch's
+final instant the engine's ``valid_at`` snapshot must equal
+:func:`repro.algebra.reference.evaluate_plan_at` — the non-streaming
+operators applied to the input snapshots (snapshot reducibility,
+Definition 14).  This pins interning, columnar deltas and the timing
+wheels to the paper's semantics.  The dd backend is additionally held
+to the sga answers at the final epoch (the cross-backend golden the
+engine API guarantees).
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ from repro.engine.session import EngineConfig, StreamingGraphEngine
 from repro.query.parser import parse_rq
 from repro.query.sgq import SGQ
 from repro.workloads import QUERIES, labels_for
+from tests.conftest import oracle_at
 
 ALL = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7")
 SCALE = Scale(n_edges=500, n_vertices=60, window=6 * HOUR, slide=HOUR)
@@ -34,13 +31,12 @@ def streams():
     return {ds: _stream(ds, SCALE) for ds in ("so", "snb")}
 
 
-def _run_sga(plan, stream, execution):
+def _run_sga(plan, stream, materialize_paths=False):
     engine = StreamingGraphEngine(
         EngineConfig(
             backend="sga",
             path_impl="negative",
-            materialize_paths=False,
-            execution=execution,
+            materialize_paths=materialize_paths,
         )
     )
     handle = engine.register(plan, name="q")
@@ -56,19 +52,14 @@ def _epoch_instants(stream, slide):
 class TestColumnarGolden:
     @pytest.mark.parametrize("dataset", ["so", "snb"])
     @pytest.mark.parametrize("query_name", ALL)
-    def test_columnar_matches_rows(self, streams, dataset, query_name):
+    def test_matches_oracle_every_epoch(self, streams, dataset, query_name):
         stream = streams[dataset]
         window = SCALE.sliding_window()
         plan = QUERIES[query_name].plan(labels_for(query_name, dataset), window)
-        rows = _run_sga(plan, stream, "rows")
-        cols = _run_sga(plan, stream, "columnar")
+        handle = _run_sga(plan, stream)
 
-        assert set(cols.results()) == set(rows.results())
-        cover_rows = {k: tuple(v) for k, v in rows.coverage().items()}
-        cover_cols = {k: tuple(v) for k, v in cols.coverage().items()}
-        assert cover_cols == cover_rows
         for t in _epoch_instants(stream, window.slide):
-            assert cols.valid_at(t) == rows.valid_at(t), f"t={t}"
+            assert handle.valid_at(t) == oracle_at(plan, stream, t), f"t={t}"
 
     @pytest.mark.parametrize("dataset", ["so", "snb"])
     @pytest.mark.parametrize("query_name", ALL)
@@ -82,7 +73,7 @@ class TestColumnarGolden:
         window = SCALE.sliding_window()
         labels = labels_for(query_name, dataset)
         plan = QUERIES[query_name].plan(labels, window)
-        sga = _run_sga(plan, stream, "columnar")
+        sga = _run_sga(plan, stream)
 
         engine = StreamingGraphEngine(EngineConfig(backend="dd"))
         program = parse_rq(QUERIES[query_name].datalog(labels))
@@ -100,9 +91,9 @@ class TestMaterializedPathsGolden:
 
     Which witness path the expand-only operator records is (and always
     was) hash-order dependent, so hop sequences are not compared
-    verbatim; what interning must guarantee is that the *result sets*
-    agree and every decoded payload is a well-formed path over original
-    vertex values chaining the result's endpoints.
+    verbatim; what interning must guarantee is that the result snapshots
+    match the oracle and every decoded payload is a well-formed path
+    over original vertex values chaining the result's endpoints.
     """
 
     @pytest.mark.parametrize("dataset", ["so", "snb"])
@@ -110,22 +101,11 @@ class TestMaterializedPathsGolden:
         stream = streams[dataset]
         window = SCALE.sliding_window()
         plan = QUERIES["Q1"].plan(labels_for("Q1", dataset), window)
-
-        def run(execution):
-            engine = StreamingGraphEngine(
-                EngineConfig(
-                    backend="sga", path_impl="negative", execution=execution
-                )
-            )
-            handle = engine.register(plan, name="q")
-            engine.push_many(stream)
-            return handle.results()
-
-        rows = run("rows")
-        cols = run("columnar")
-        assert {(s.key(), s.interval) for s in cols} == {
-            (s.key(), s.interval) for s in rows
-        }
+        handle = _run_sga(plan, stream, materialize_paths=True)
+        for t in _epoch_instants(stream, window.slide):
+            assert handle.valid_at(t) == oracle_at(plan, stream, t), f"t={t}"
+        cols = handle.results()
+        assert cols
         raw_vertices = {e.src for e in stream} | {e.trg for e in stream}
         for sgt in cols:
             hops = sgt.payload.edges()

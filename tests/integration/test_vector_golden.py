@@ -1,23 +1,16 @@
-"""Golden equivalence: the numpy vector execution must be bit-identical
-to the columnar reference (and set-identical to the historical row-wise
-path) on every Table 1 query over both benchmark streams.
+"""Golden checks of the S-PATH operator, both ingress forms and sharding.
 
-``execution="vector"`` carries ndarray-backed :class:`DeltaColumns`
-through the kernels and relaxes exactly one thing — per-slide label
-grouping at ingress, and only for plans the compile-time analysis
-(:func:`repro.ql.pipeline.vector_ingress_mode`) proves insensitive to
-it.  These tests pin the whole mode to the columnar semantics on
+The companion of ``test_columnar_golden.py`` (which runs the
+negative-tuple PATH): every Table 1 query on both benchmark streams,
+this time under ``path_impl="spath"``, against
+:func:`repro.algebra.reference.evaluate_plan_at` at every epoch's final
+instant.  It also pins
 
-* the coalesced decoded result set (asserted as *lists* against
-  columnar: same members in the same order — bit-identical, not just
-  set-equal),
-* the net validity coverage,
-* the ``valid_at`` snapshot at every epoch's final instant,
-* materialized-path decoding (payload vertices + label sequences), and
-* sharded execution (``shards=2`` pinned against the serial engine).
-
-numpy-less hosts skip this module (the no-numpy CI leg exercises the
-degrade path instead; see tests/engine/test_vector_config.py).
+* the two ingress forms against each other bit for bit — ``push_many``
+  (same-label runs as columns) and per-edge ``push`` (one event per
+  edge) must emit the same results in the same order,
+* materialized-path decoding (payload vertices chain the endpoints), and
+* sharded execution (``shards=2`` against the serial engine).
 """
 
 from __future__ import annotations
@@ -25,14 +18,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.experiments import Scale, _stream
-from repro.core.nplib import HAVE_NUMPY
 from repro.core.windows import HOUR
 from repro.engine.session import EngineConfig, StreamingGraphEngine
 from repro.workloads import QUERIES, labels_for
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector execution requires numpy"
-)
+from tests.conftest import oracle_at
 
 ALL = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7")
 SCALE = Scale(n_edges=500, n_vertices=60, window=6 * HOUR, slide=HOUR)
@@ -43,23 +32,19 @@ def streams():
     return {ds: _stream(ds, SCALE) for ds in ("so", "snb")}
 
 
-def _run_sga(
-    plan,
-    stream,
-    execution,
-    path_impl="negative",
-    materialize_paths=False,
-    shards=1,
-):
-    engine = StreamingGraphEngine(
+def _engine(path_impl="spath", materialize_paths=False, shards=1):
+    return StreamingGraphEngine(
         EngineConfig(
             backend="sga",
             path_impl=path_impl,
             materialize_paths=materialize_paths,
-            execution=execution,
             shards=shards,
         )
     )
+
+
+def _run_sga(plan, stream, **config):
+    engine = _engine(**config)
     handle = engine.register(plan, name="q")
     engine.push_many(stream)
     return handle
@@ -70,102 +55,71 @@ def _epoch_instants(stream, slide):
     return [b + slide - 1 for b in boundaries]
 
 
-class TestVectorGolden:
+class TestSPathGolden:
     @pytest.mark.parametrize("dataset", ["so", "snb"])
     @pytest.mark.parametrize("query_name", ALL)
-    def test_vector_matches_columnar_bit_identical(
+    def test_spath_matches_oracle_every_epoch(
         self, streams, dataset, query_name
     ):
         stream = streams[dataset]
         window = SCALE.sliding_window()
         plan = QUERIES[query_name].plan(labels_for(query_name, dataset), window)
-        cols = _run_sga(plan, stream, "columnar")
-        vec = _run_sga(plan, stream, "vector")
-
-        # List equality: identical members in identical order — the
-        # vector kernels are exactly order-preserving, and ingress
-        # grouping is only enabled where the analysis proves it
-        # unobservable, so even the emission order must survive.
-        assert list(vec.results()) == list(cols.results())
-        cover_cols = {k: tuple(v) for k, v in cols.coverage().items()}
-        cover_vec = {k: tuple(v) for k, v in vec.coverage().items()}
-        assert cover_vec == cover_cols
+        handle = _run_sga(plan, stream)
         for t in _epoch_instants(stream, window.slide):
-            assert vec.valid_at(t) == cols.valid_at(t), f"t={t}"
+            assert handle.valid_at(t) == oracle_at(plan, stream, t), f"t={t}"
 
     @pytest.mark.parametrize("dataset", ["so", "snb"])
     @pytest.mark.parametrize("query_name", ALL)
-    def test_vector_matches_rows(self, streams, dataset, query_name):
+    @pytest.mark.parametrize("path_impl", ["spath", "negative"])
+    def test_per_edge_push_matches_push_many_bit_identical(
+        self, streams, dataset, query_name, path_impl
+    ):
         stream = streams[dataset]
         window = SCALE.sliding_window()
         plan = QUERIES[query_name].plan(labels_for(query_name, dataset), window)
-        rows = _run_sga(plan, stream, "rows")
-        vec = _run_sga(plan, stream, "vector")
+        bulk = _run_sga(plan, stream, path_impl=path_impl)
+        engine = _engine(path_impl=path_impl)
+        per_edge = engine.register(plan, name="q")
+        for edge in stream:
+            engine.push(edge)
 
-        assert set(vec.results()) == set(rows.results())
-        cover_rows = {k: tuple(v) for k, v in rows.coverage().items()}
-        cover_vec = {k: tuple(v) for k, v in vec.coverage().items()}
-        assert cover_vec == cover_rows
-        for t in _epoch_instants(stream, window.slide):
-            assert vec.valid_at(t) == rows.valid_at(t), f"t={t}"
-
-    @pytest.mark.parametrize("dataset", ["so", "snb"])
-    @pytest.mark.parametrize("query_name", ["Q1", "Q2", "Q4"])
-    def test_vector_matches_columnar_spath(self, streams, dataset, query_name):
-        """The S-PATH operator under vector ingress, same surfaces."""
-        stream = streams[dataset]
-        window = SCALE.sliding_window()
-        plan = QUERIES[query_name].plan(labels_for(query_name, dataset), window)
-        cols = _run_sga(plan, stream, "columnar", path_impl="spath")
-        vec = _run_sga(plan, stream, "vector", path_impl="spath")
-
-        assert list(vec.results()) == list(cols.results())
-        cover_cols = {k: tuple(v) for k, v in cols.coverage().items()}
-        cover_vec = {k: tuple(v) for k, v in vec.coverage().items()}
-        assert cover_vec == cover_cols
+        # List equality: identical members in identical order.
+        assert list(per_edge.results()) == list(bulk.results())
+        cover_bulk = {k: tuple(v) for k, v in bulk.coverage().items()}
+        cover_edge = {k: tuple(v) for k, v in per_edge.coverage().items()}
+        assert cover_edge == cover_bulk
 
     @pytest.mark.parametrize("dataset", ["so", "snb"])
     @pytest.mark.parametrize("query_name", ["Q1", "Q4"])
     def test_materialized_path_decoding(self, streams, dataset, query_name):
-        """Witness payloads (vertices + label sequence) decode the same.
+        """Witness payloads decode to original vertices chaining the
+        result's endpoints, and materializing changes no snapshot.
 
-        Q1 is a single-label PATH (grouped ingress stays on); Q4 is a
-        multi-label PATH, which the analysis forces to segmented ingress
-        precisely so first-derivation witnesses stay bit-identical.
+        Q1 is a single-label PATH; Q4 a multi-label one.
         """
         stream = streams[dataset]
         window = SCALE.sliding_window()
         plan = QUERIES[query_name].plan(labels_for(query_name, dataset), window)
-        cols = _run_sga(plan, stream, "columnar", materialize_paths=True)
-        vec = _run_sga(plan, stream, "vector", materialize_paths=True)
-
-        def decoded(handle):
-            out = []
-            for sgt in handle.results():
-                payload = sgt.payload
-                vertices = getattr(payload, "vertices", None)
-                labels = (
-                    payload.label_sequence()
-                    if hasattr(payload, "label_sequence")
-                    else None
-                )
-                out.append((sgt.src, sgt.trg, sgt.interval, vertices, labels))
-            return out
-
-        assert decoded(vec) == decoded(cols)
+        handle = _run_sga(plan, stream, materialize_paths=True)
+        for t in _epoch_instants(stream, window.slide):
+            assert handle.valid_at(t) == oracle_at(plan, stream, t), f"t={t}"
+        raw_vertices = {e.src for e in stream} | {e.trg for e in stream}
+        for sgt in handle.results():
+            vertices = sgt.payload.vertices
+            assert vertices[0] == sgt.src and vertices[-1] == sgt.trg
+            assert set(vertices) <= raw_vertices
 
     @pytest.mark.parametrize("dataset", ["so", "snb"])
     @pytest.mark.parametrize("query_name", ["Q1", "Q4", "Q5", "Q6"])
-    def test_vector_two_shards_match_serial(self, streams, dataset, query_name):
-        """``execution="vector"`` with ``shards=2``: the sharded runtime
-        ingests interned scalars itself (vector ingress is a serial-
-        executor concern), but the configuration must hold the same
-        set/cover golden against the serial vector engine."""
+    def test_two_shards_match_serial(self, streams, dataset, query_name):
+        """``shards=2``: the sharded runtime ingests interned scalars
+        itself, and must hold the same set/cover golden against the
+        serial engine."""
         stream = streams[dataset]
         window = SCALE.sliding_window()
         plan = QUERIES[query_name].plan(labels_for(query_name, dataset), window)
-        serial = _run_sga(plan, stream, "vector")
-        sharded = _run_sga(plan, stream, "vector", shards=2)
+        serial = _run_sga(plan, stream, path_impl="negative")
+        sharded = _run_sga(plan, stream, path_impl="negative", shards=2)
 
         assert set(sharded.results()) == set(serial.results())
         cover_serial = {k: tuple(v) for k, v in serial.coverage().items()}

@@ -1,8 +1,7 @@
 """PATTERN joins over every ingestion form and over wide vertex ids.
 
 A three-conjunct chain ``out(x, w) <- a(x, y), b(y, z), c(z, w)`` is
-fed per event, as row batches, as list-backed columns and as numpy
-columns (the level-wise vector kernel).  Every form must produce exactly
+fed per event, as row batches and as columns.  Every form must produce exactly
 the results of a brute-force nested-loop join of the same stream.
 Vertex ids are shifted by offsets that straddle 2**21 and reach 2**40,
 so join keys are compared as the ids themselves, whatever their width.
@@ -17,7 +16,6 @@ import pytest
 from repro.core.batch import DeltaBatch
 from repro.core.columns import DeltaColumns
 from repro.core.intervals import Interval
-from repro.core.nplib import HAVE_NUMPY, np
 from repro.core.tuples import SGT
 from repro.dataflow.graph import INSERT, DataflowGraph, Event, SinkOp
 from repro.physical.join import PatternOp
@@ -75,8 +73,6 @@ def _batch(form, boundary, sgts):
         [sgt.interval.ts for sgt in sgts],
         [sgt.interval.exp for sgt in sgts],
     ]
-    if form == "vector":
-        columns = [np.asarray(column, dtype=np.int64) for column in columns]
     return DeltaBatch(
         boundary, columns=DeltaColumns(sgts[0].label, *columns)
     )
@@ -110,7 +106,7 @@ def run(stream, form):
     return sink
 
 
-FORMS = ["event", "rows", "columns"] + (["vector"] if HAVE_NUMPY else [])
+FORMS = ["event", "rows", "columns"]
 
 
 @pytest.mark.parametrize(

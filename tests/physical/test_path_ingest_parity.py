@@ -1,13 +1,12 @@
 """The PATH operators' three ingestion entry points agree bit for bit.
 
 A PATH operator receives its input as single events (``on_event``), as
-row batches, or as columnar batches whose columns are plain lists
-(``execution="columnar"``) or numpy arrays (``execution="vector"``).
-Every form runs the same arrival-order row loop over the same operator
-state, so over one stream with window boundaries (and, optionally,
-explicit deletions) interleaved, each batched form must emit exactly
-the events of the per-event run, in the same order, and end in the same
-state.
+row batches (from an upstream PATH that materializes paths, or a join
+fed by one), or as columnar batches.  Every form runs the same
+arrival-order row loop over the same operator state, so over one stream
+with window boundaries (and, optionally, explicit deletions)
+interleaved, each batched form must emit exactly the events of the
+per-event run, in the same order, and end in the same state.
 """
 
 import random
@@ -17,7 +16,6 @@ import pytest
 from repro.core.batch import DeltaBatch
 from repro.core.columns import DeltaColumns
 from repro.core.intervals import Interval
-from repro.core.nplib import HAVE_NUMPY, np
 from repro.core.tuples import SGT
 from repro.dataflow.graph import DELETE, INSERT, DataflowGraph, Event, SinkOp
 from repro.physical.rpq_negative import NegativeTupleRpqOp
@@ -81,8 +79,6 @@ def _make_batch(form, boundary, sgts, signs):
         [sgt.interval.ts for sgt in sgts],
         [sgt.interval.exp for sgt in sgts],
     ]
-    if form == "vector":
-        columns = [np.asarray(column, dtype=np.int64) for column in columns]
     return DeltaBatch(boundary, signs=signs, columns=DeltaColumns(LABEL, *columns))
 
 
@@ -124,7 +120,7 @@ def _emitted(sink, materialize):
     ]
 
 
-FORMS = ["rows", "columns"] + (["vector"] if HAVE_NUMPY else [])
+FORMS = ["rows", "columns"]
 
 
 @pytest.mark.parametrize("materialize", [True, False])

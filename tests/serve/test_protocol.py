@@ -80,6 +80,25 @@ class TestParseRegister:
         with pytest.raises(ProtocolError, match=match):
             parse_register(body)
 
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"materialize_paths": "false"}, "'materialize_paths' must be a boolean"),
+            ({"materialize_paths": [1]}, "'materialize_paths' must be a boolean"),
+            ({"coalesce_intermediate": 0}, "'coalesce_intermediate' must be a boolean"),
+            ({"path_impl": 3}, "'path_impl' must be a string"),
+        ],
+    )
+    def test_rejects_wrongly_typed_compile_options(self, options, match):
+        with pytest.raises(ProtocolError, match=match):
+            parse_register(
+                {
+                    "query": "Answer(x,y) <- knows+(x,y) as K.",
+                    "window": 24,
+                    "options": options,
+                }
+            )
+
     def test_known_compile_options_accepted(self):
         spec = parse_register(
             {

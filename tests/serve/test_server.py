@@ -180,6 +180,15 @@ class TestRouting:
                 {"query": "garbage((", "window": 24},
             )
             assert status == 400
+            status, body, _ = await call(
+                p, "POST", "/tenants/a/queries",
+                {
+                    "query": "Answer(x,y) <- knows+(x,y) as K.",
+                    "window": 24,
+                    "options": {"materialize_paths": "false"},
+                },
+            )
+            assert status == 400 and "materialize_paths" in body["error"]
 
             # unknown tenant / query -> 404
             status, body, _ = await call(
